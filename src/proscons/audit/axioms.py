@@ -2,20 +2,23 @@
 
 Every axiom is implemented twice, on purpose:
 
-* a vectorised check over the bitmask profile space, used for the sweeps
-  (``_CHECKS``); it returns the first violating instance in a documented
-  deterministic order, or ``None``;
-* a scalar replay (``_REPLAYS``) that re-evaluates one witness through the
-  public comparison functions and confirms the violation is genuine.
+* a vectorised sweep over the bitmask profile space; it returns the first
+  violating instance in a documented deterministic order, or ``None``;
+* a scalar replay that re-evaluates one witness through the public
+  comparison functions and confirms the violation is genuine.
 
-The replay route never touches the matrices, so a witness that replays is
-evidence against the rule, not against the sweep machinery.
+Both, with the enumeration bound, make up the axiom's :class:`Check`
+record in ``AXIOMS``.  The replay route never touches the matrices,
+so a witness that replays is evidence against the rule, not against the
+sweep machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -57,32 +60,6 @@ class Axiom(Enum):
     ANONYMITY = "anonymity"                # indifferent disjoint sets are interchangeable
 
 
-# Axioms quantifying over three or four subsets get the tighter guard.
-_BOUNDS = {
-    Axiom.CA: PAIRWISE_BOUND,
-    Axiom.SQC: PAIRWISE_BOUND,
-    Axiom.POS_MONOTONY: TUPLE_BOUND,
-    Axiom.NEG_MONOTONY: TUPLE_BOUND,
-    Axiom.WEAK_UNANIMITY: PAIRWISE_BOUND,
-    Axiom.NON_TRIVIALITY: PAIRWISE_BOUND,
-    Axiom.X_MONOTONY: TUPLE_BOUND,
-    Axiom.POSC: PAIRWISE_BOUND,
-    Axiom.NEGC: PAIRWISE_BOUND,
-    Axiom.NEG: TUPLE_BOUND,
-    Axiom.CLO: TUPLE_BOUND,
-    Axiom.GNEG: TUPLE_BOUND,
-    Axiom.GCLO: TUPLE_BOUND,
-    Axiom.POS_EFFICIENCY: PAIRWISE_BOUND,
-    Axiom.NEG_EFFICIENCY: PAIRWISE_BOUND,
-    Axiom.PREF_INDEPENDENCE: PAIRWISE_BOUND,
-    Axiom.COMPLETENESS: PAIRWISE_BOUND,
-    Axiom.QUASI_TRANSITIVITY: TUPLE_BOUND,
-    Axiom.TRANSITIVITY: TUPLE_BOUND,
-    Axiom.SIMPLE_GROUNDING: TUPLE_BOUND,
-    Axiom.ANONYMITY: TUPLE_BOUND,
-}
-
-
 @dataclass(frozen=True)
 class Witness:
     """One violating instantiation of an axiom's quantifiers.
@@ -121,6 +98,44 @@ class AuditVerdict:
         return f"{self.check:<18} {self.rule.value:<8} {status}{extra}"
 
 
+def audit_context(
+    universe: DecisionUniverse, context: AuditContext | None, bound: int
+) -> AuditContext:
+    """The shared context for a universe, after refusing trivial or over-bound ones."""
+    if universe.is_trivial:
+        raise TrivialUniverseError("audits require a non-trivial universe")
+    guard_size(universe, bound)
+    return context if context is not None else AuditContext(universe)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named audit check, declared once.
+
+    ``sweep(context, rule)`` quantifies over the universe's profiles with
+    the relation matrices and returns the first witness, or ``None``;
+    ``replay(rule, universe, witness)`` re-checks a witness through the
+    scalar comparison functions only.  ``bound`` is the largest universe
+    the sweep may enumerate.
+    """
+
+    name: str
+    bound: int
+    sweep: Callable[[AuditContext, Rule], Witness | None]
+    replay: Callable[[Rule, DecisionUniverse, Witness], bool]
+
+    def verdict(
+        self,
+        rule: Rule,
+        universe: DecisionUniverse,
+        *,
+        context: AuditContext | None = None,
+    ) -> AuditVerdict:
+        """Run the sweep on one universe; trivial or over-bound ones are refused."""
+        witness = self.sweep(audit_context(universe, context, self.bound), rule)
+        return AuditVerdict(self.name, rule, witness is None, witness)
+
+
 # ---------------------------------------------------------------------------
 # Vectorised checks
 # ---------------------------------------------------------------------------
@@ -128,6 +143,15 @@ class AuditVerdict:
 def _first(viol: np.ndarray):
     idx = np.argwhere(viol)
     return tuple(int(v) for v in idx[0]) if idx.size else None
+
+
+def _pair_witness(ctx: AuditContext, viol: np.ndarray, note: str = "") -> Witness | None:
+    """Witness of the first violating (A, B) pair of a profile-pair matrix."""
+    hit = _first(viol)
+    if hit is None:
+        return None
+    a, b = hit
+    return Witness(profiles=(ctx.space.members(a), ctx.space.members(b)), note=note)
 
 
 def _check_ca(ctx: AuditContext, rule: Rule):
@@ -190,14 +214,6 @@ def _monotony(ctx, rule, *, positive: bool):
     return None
 
 
-def _check_posmonotony(ctx, rule):
-    return _monotony(ctx, rule, positive=True)
-
-
-def _check_negmonotony(ctx, rule):
-    return _monotony(ctx, rule, positive=False)
-
-
 def _check_weakunanimity(ctx, rule):
     rel = ctx.rel(rule)
     space = ctx.space
@@ -205,11 +221,7 @@ def _check_weakunanimity(ctx, rule):
     pos = masks & space.pos_mask
     neg = masks & space.neg_mask
     cond = rel.weak[pos[:, None], pos[None, :]] & rel.weak[neg[:, None], neg[None, :]]
-    hit = _first(cond & ~rel.weak)
-    if hit:
-        a, b = hit
-        return Witness(profiles=(space.members(a), space.members(b)))
-    return None
+    return _pair_witness(ctx, cond & ~rel.weak)
 
 
 def _check_nontriviality(ctx, rule):
@@ -266,14 +278,6 @@ def _cancellation(ctx, rule, *, positive: bool):
                 if not rel.sym[space.arg_bit(x), space.arg_bit(z)]:
                     return Witness(args=(x, z, y))
     return None
-
-
-def _check_posc(ctx, rule):
-    return _cancellation(ctx, rule, positive=True)
-
-
-def _check_negc(ctx, rule):
-    return _cancellation(ctx, rule, positive=False)
 
 
 def _check_neg(ctx, rule):
@@ -360,14 +364,6 @@ def _combination(ctx, rule, *, strict_parts: bool):
     return None
 
 
-def _check_gneg(ctx, rule):
-    return _combination(ctx, rule, strict_parts=True)
-
-
-def _check_gclo(ctx, rule):
-    return _combination(ctx, rule, strict_parts=False)
-
-
 def _efficiency(ctx, rule, *, positive: bool):
     rel = ctx.rel(rule)
     space = ctx.space
@@ -383,14 +379,6 @@ def _efficiency(ctx, rule, *, positive: bool):
             (bi,) = hit
             return Witness(profiles=(space.members(a), space.members(int(subs[bi]))))
     return None
-
-
-def _check_posefficiency(ctx, rule):
-    return _efficiency(ctx, rule, positive=True)
-
-
-def _check_negefficiency(ctx, rule):
-    return _efficiency(ctx, rule, positive=False)
 
 
 def _check_prefindependence(ctx, rule):
@@ -415,15 +403,13 @@ def _check_prefindependence(ctx, rule):
 
 
 def _check_completeness(ctx, rule):
-    rel = ctx.rel(rule)
-    hit = _first(rel.incomp)
-    if hit:
-        a, b = hit
-        return Witness(profiles=(ctx.space.members(a), ctx.space.members(b)))
-    return None
+    return _pair_witness(ctx, ctx.rel(rule).incomp)
 
 
-def _transitive_violation(space, base: np.ndarray):
+def _transitive_violation(ctx, rule, *, part: str):
+    # ``part`` names the relation tested: "weak", "strict" or "sym".
+    space = ctx.space
+    base = getattr(ctx.rel(rule), part)
     reach = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
     if not (reach & ~base).any():
         return None
@@ -444,20 +430,12 @@ def _transitive_violation(space, base: np.ndarray):
     return None
 
 
-def _check_quasitransitivity(ctx, rule):
-    return _transitive_violation(ctx.space, ctx.rel(rule).strict)
-
-
-def _check_transitivity(ctx, rule):
-    return _transitive_violation(ctx.space, ctx.rel(rule).weak)
-
-
 def _check_simplegrounding(ctx, rule):
     ground = ground_relation(rule, ctx.universe)
     if not ground.is_weak_order:
         return Witness(note="ground")
     for sub in (Axiom.X_MONOTONY, Axiom.POSC, Axiom.NEGC):
-        witness = _CHECKS[sub](ctx, rule)
+        witness = AXIOMS[sub].sweep(ctx, rule)
         if witness is not None:
             return Witness(
                 profiles=witness.profiles, args=witness.args, note=sub.value
@@ -490,59 +468,9 @@ def _check_anonymity(ctx, rule):
     return None
 
 
-_CHECKS = {
-    Axiom.CA: _check_ca,
-    Axiom.SQC: _check_sqc,
-    Axiom.POS_MONOTONY: _check_posmonotony,
-    Axiom.NEG_MONOTONY: _check_negmonotony,
-    Axiom.WEAK_UNANIMITY: _check_weakunanimity,
-    Axiom.NON_TRIVIALITY: _check_nontriviality,
-    Axiom.X_MONOTONY: _check_xmonotony,
-    Axiom.POSC: _check_posc,
-    Axiom.NEGC: _check_negc,
-    Axiom.NEG: _check_neg,
-    Axiom.CLO: _check_clo,
-    Axiom.GNEG: _check_gneg,
-    Axiom.GCLO: _check_gclo,
-    Axiom.POS_EFFICIENCY: _check_posefficiency,
-    Axiom.NEG_EFFICIENCY: _check_negefficiency,
-    Axiom.PREF_INDEPENDENCE: _check_prefindependence,
-    Axiom.COMPLETENESS: _check_completeness,
-    Axiom.QUASI_TRANSITIVITY: _check_quasitransitivity,
-    Axiom.TRANSITIVITY: _check_transitivity,
-    Axiom.SIMPLE_GROUNDING: _check_simplegrounding,
-    Axiom.ANONYMITY: _check_anonymity,
-}
-
-
-def check_axiom(
-    axiom: Axiom,
-    rule: Rule,
-    universe: DecisionUniverse,
-    *,
-    context: AuditContext | None = None,
-) -> AuditVerdict:
-    """Quantify one axiom exhaustively over a universe's profiles.
-
-    Returns the verdict with the first violating instance in the check's
-    documented deterministic order, if any.  Trivial universes are
-    rejected: the axioms presuppose at least one argument that matters.
-    """
-    if universe.is_trivial:
-        raise TrivialUniverseError("audits require a non-trivial universe")
-    guard_size(universe, _BOUNDS[axiom])
-    ctx = context if context is not None else AuditContext(universe)
-    witness = _CHECKS[axiom](ctx, rule)
-    return AuditVerdict(axiom.value, rule, witness is None, witness)
-
-
 # ---------------------------------------------------------------------------
 # Scalar replays
 # ---------------------------------------------------------------------------
-
-def _opt(universe, members):
-    return universe.option(members)
-
 
 def _weak(rule, a, b) -> bool:
     return compare(rule, a, b).first_weak
@@ -562,7 +490,7 @@ def _replay_ca(rule, u, w):
 
 
 def _replay_sqc(rule, u, w):
-    a, b = (_opt(u, p) for p in w.profiles)
+    a, b = (u.option(p) for p in w.profiles)
     x = u.option({w.args[0]})
     if not _sym(rule, x, u.empty):
         return False
@@ -575,35 +503,35 @@ def _replay_sqc(rule, u, w):
 
 
 def _replay_posmonotony(rule, u, w):
-    a, b, c, cp = (_opt(u, p) for p in w.profiles)
+    a, b, c, cp = (u.option(p) for p in w.profiles)
     if not (c.members <= u.pros and cp.members <= u.pros):
         return False
     return _weak(rule, a, b) and not _weak(rule, c.union(a), b.difference(cp))
 
 
 def _replay_negmonotony(rule, u, w):
-    a, b, c, cp = (_opt(u, p) for p in w.profiles)
+    a, b, c, cp = (u.option(p) for p in w.profiles)
     if not (c.members <= u.cons and cp.members <= u.cons):
         return False
     return _weak(rule, a, b) and not _weak(rule, a.difference(c), b.union(cp))
 
 
 def _replay_weakunanimity(rule, u, w):
-    a, b = (_opt(u, p) for p in w.profiles)
+    a, b = (u.option(p) for p in w.profiles)
     return (
-        _weak(rule, _opt(u, a.pos), _opt(u, b.pos))
-        and _weak(rule, _opt(u, a.neg), _opt(u, b.neg))
+        _weak(rule, u.option(a.pos), u.option(b.pos))
+        and _weak(rule, u.option(a.neg), u.option(b.neg))
         and not _weak(rule, a, b)
     )
 
 
 def _replay_nontriviality(rule, u, w):
-    return not _strict(rule, _opt(u, u.pros), _opt(u, u.cons))
+    return not _strict(rule, u.option(u.pros), u.option(u.cons))
 
 
 def _replay_xmonotony(rule, u, w):
     x_name, xp_name = w.args
-    a, b = (_opt(u, p) for p in w.profiles)
+    a, b = (u.option(p) for p in w.profiles)
     if a.members & {x_name, xp_name}:
         return False
     x = u.option({x_name})
@@ -628,20 +556,20 @@ def _replay_cancellation(rule, u, w):
 
 
 def _replay_neg(rule, u, w):
-    a, b, c = (_opt(u, p) for p in w.profiles)
+    a, b, c = (u.option(p) for p in w.profiles)
     return _strict(rule, a, b) and _strict(rule, a, c) and not _strict(rule, a, b.union(c))
 
 
 def _replay_clo(rule, u, w):
     if w.note == "absorb":
-        b, c = (_opt(u, p) for p in w.profiles)
+        b, c = (u.option(p) for p in w.profiles)
         return _weak(rule, b, c) and not _sym(rule, b, b.union(c))
-    a, b, c = (_opt(u, p) for p in w.profiles)
+    a, b, c = (u.option(p) for p in w.profiles)
     return _sym(rule, a, b) and _sym(rule, a, c) and not _sym(rule, a, b.union(c))
 
 
 def _replay_gneg(rule, u, w):
-    a, b, c, d = (_opt(u, p) for p in w.profiles)
+    a, b, c, d = (u.option(p) for p in w.profiles)
     return (
         _strict(rule, a, b)
         and _strict(rule, c, d)
@@ -650,7 +578,7 @@ def _replay_gneg(rule, u, w):
 
 
 def _replay_gclo(rule, u, w):
-    a, b, c, d = (_opt(u, p) for p in w.profiles)
+    a, b, c, d = (u.option(p) for p in w.profiles)
     return (
         _weak(rule, a, b)
         and _weak(rule, c, d)
@@ -659,7 +587,7 @@ def _replay_gclo(rule, u, w):
 
 
 def _replay_posefficiency(rule, u, w):
-    a, b = (_opt(u, p) for p in w.profiles)
+    a, b = (u.option(p) for p in w.profiles)
     return (
         b.members <= a.members
         and _strict(rule, a.difference(b), u.empty)
@@ -668,7 +596,7 @@ def _replay_posefficiency(rule, u, w):
 
 
 def _replay_negefficiency(rule, u, w):
-    a, b = (_opt(u, p) for p in w.profiles)
+    a, b = (u.option(p) for p in w.profiles)
     return (
         b.members <= a.members
         and _strict(rule, u.empty, a.difference(b))
@@ -677,24 +605,24 @@ def _replay_negefficiency(rule, u, w):
 
 
 def _replay_prefindependence(rule, u, w):
-    a, b, c = (_opt(u, p) for p in w.profiles)
+    a, b, c = (u.option(p) for p in w.profiles)
     if (a.members | b.members) & c.members:
         return False
     return _weak(rule, a, b) != _weak(rule, a.union(c), b.union(c))
 
 
 def _replay_completeness(rule, u, w):
-    a, b = (_opt(u, p) for p in w.profiles)
+    a, b = (u.option(p) for p in w.profiles)
     return compare(rule, a, b) is Outcome.INCOMPARABLE
 
 
 def _replay_quasitransitivity(rule, u, w):
-    a, b, c = (_opt(u, p) for p in w.profiles)
+    a, b, c = (u.option(p) for p in w.profiles)
     return _strict(rule, a, b) and _strict(rule, b, c) and not _strict(rule, a, c)
 
 
 def _replay_transitivity(rule, u, w):
-    a, b, c = (_opt(u, p) for p in w.profiles)
+    a, b, c = (u.option(p) for p in w.profiles)
     return _weak(rule, a, b) and _weak(rule, b, c) and not _weak(rule, a, c)
 
 
@@ -702,11 +630,11 @@ def _replay_simplegrounding(rule, u, w):
     if w.note == "ground":
         return not ground_relation(rule, u).is_weak_order
     inner = Witness(profiles=w.profiles, args=w.args)
-    return _REPLAYS[w.note](rule, u, inner)
+    return AXIOMS[Axiom(w.note)].replay(rule, u, inner)
 
 
 def _replay_anonymity(rule, u, w):
-    a, b, c, d = (_opt(u, p) for p in w.profiles)
+    a, b, c, d = (u.option(p) for p in w.profiles)
     if a.members & (c.members | d.members):
         return False
     if not _sym(rule, c, d):
@@ -717,42 +645,55 @@ def _replay_anonymity(rule, u, w):
     )
 
 
-_REPLAYS = {
-    Axiom.CA.value: _replay_ca,
-    Axiom.SQC.value: _replay_sqc,
-    Axiom.POS_MONOTONY.value: _replay_posmonotony,
-    Axiom.NEG_MONOTONY.value: _replay_negmonotony,
-    Axiom.WEAK_UNANIMITY.value: _replay_weakunanimity,
-    Axiom.NON_TRIVIALITY.value: _replay_nontriviality,
-    Axiom.X_MONOTONY.value: _replay_xmonotony,
-    Axiom.POSC.value: _replay_cancellation,
-    Axiom.NEGC.value: _replay_cancellation,
-    Axiom.NEG.value: _replay_neg,
-    Axiom.CLO.value: _replay_clo,
-    Axiom.GNEG.value: _replay_gneg,
-    Axiom.GCLO.value: _replay_gclo,
-    Axiom.POS_EFFICIENCY.value: _replay_posefficiency,
-    Axiom.NEG_EFFICIENCY.value: _replay_negefficiency,
-    Axiom.PREF_INDEPENDENCE.value: _replay_prefindependence,
-    Axiom.COMPLETENESS.value: _replay_completeness,
-    Axiom.QUASI_TRANSITIVITY.value: _replay_quasitransitivity,
-    Axiom.TRANSITIVITY.value: _replay_transitivity,
-    Axiom.SIMPLE_GROUNDING.value: _replay_simplegrounding,
-    Axiom.ANONYMITY.value: _replay_anonymity,
+# Axioms quantifying over three or four subsets get the tighter bound.
+AXIOMS: dict[Axiom, Check] = {
+    Axiom(name): Check(name, bound, sweep, replay)
+    for name, bound, sweep, replay in (
+        ("ca", PAIRWISE_BOUND, _check_ca, _replay_ca),
+        ("sqc", PAIRWISE_BOUND, _check_sqc, _replay_sqc),
+        ("posmonotony", TUPLE_BOUND, partial(_monotony, positive=True),
+         _replay_posmonotony),
+        ("negmonotony", TUPLE_BOUND, partial(_monotony, positive=False),
+         _replay_negmonotony),
+        ("weakunanimity", PAIRWISE_BOUND, _check_weakunanimity, _replay_weakunanimity),
+        ("nontriviality", PAIRWISE_BOUND, _check_nontriviality, _replay_nontriviality),
+        ("xmonotony", TUPLE_BOUND, _check_xmonotony, _replay_xmonotony),
+        ("posc", PAIRWISE_BOUND, partial(_cancellation, positive=True),
+         _replay_cancellation),
+        ("negc", PAIRWISE_BOUND, partial(_cancellation, positive=False),
+         _replay_cancellation),
+        ("neg", TUPLE_BOUND, _check_neg, _replay_neg),
+        ("clo", TUPLE_BOUND, _check_clo, _replay_clo),
+        ("gneg", TUPLE_BOUND, partial(_combination, strict_parts=True), _replay_gneg),
+        ("gclo", TUPLE_BOUND, partial(_combination, strict_parts=False), _replay_gclo),
+        ("posefficiency", PAIRWISE_BOUND, partial(_efficiency, positive=True),
+         _replay_posefficiency),
+        ("negefficiency", PAIRWISE_BOUND, partial(_efficiency, positive=False),
+         _replay_negefficiency),
+        ("prefindependence", PAIRWISE_BOUND, _check_prefindependence,
+         _replay_prefindependence),
+        ("completeness", PAIRWISE_BOUND, _check_completeness, _replay_completeness),
+        ("quasitransitivity", TUPLE_BOUND, partial(_transitive_violation, part="strict"),
+         _replay_quasitransitivity),
+        ("transitivity", TUPLE_BOUND, partial(_transitive_violation, part="weak"),
+         _replay_transitivity),
+        ("simplegrounding", TUPLE_BOUND, _check_simplegrounding, _replay_simplegrounding),
+        ("anonymity", TUPLE_BOUND, _check_anonymity, _replay_anonymity),
+    )
 }
 
 
-def register_replay(check: str, fn) -> None:
-    """Let report-level checks plug their replays into the shared registry."""
-    _REPLAYS[check] = fn
+def check_axiom(
+    axiom: Axiom,
+    rule: Rule,
+    universe: DecisionUniverse,
+    *,
+    context: AuditContext | None = None,
+) -> AuditVerdict:
+    """Quantify one axiom exhaustively over a universe's profiles.
 
-
-def replay_witness(verdict: AuditVerdict, universe: DecisionUniverse) -> bool:
-    """Re-evaluate a failed verdict's witness through the scalar rule functions.
-
-    True means the witness genuinely violates the check.  Verdicts that
-    hold have nothing to replay.
+    Returns the verdict with the first violating instance in the check's
+    documented deterministic order, if any.  Trivial universes are
+    rejected: the axioms presuppose at least one argument that matters.
     """
-    if verdict.holds or verdict.witness is None:
-        raise ValueError("only failed verdicts carry a witness to replay")
-    return _REPLAYS[verdict.check](verdict.rule, universe, verdict.witness)
+    return AXIOMS[axiom].verdict(rule, universe, context=context)

@@ -5,29 +5,36 @@ to certify mechanically: which rules are complete or transitive, which
 rule refines which, and the two characterization bundles: the axiom set
 that singles out the order-of-magnitude rule, and the premise set that
 singles out the signed-count levelwise rule.
+
+Every check a report runs is one :class:`Check` record in ``CHECKS``,
+looked up by the name its verdicts carry; the sweeps over generated
+universes share one driver that refuses empty or over-bound ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core import DecisionUniverse, ProblemError, TrivialUniverseError
+from ..core import DecisionUniverse, ProblemError
 from ..encodings import compare_bilexi_np, compare_np
 from ..rules import Rule, compare, compare_impl, compare_impl_cases, ground_relation
 from .axioms import (
+    AXIOMS,
     Axiom,
     AuditVerdict,
+    Check,
     Witness,
     _first,
+    _pair_witness,
     _strict,
     _sym,
     _transitive_violation,
     _weak,
-    check_axiom,
-    register_replay,
+    audit_context,
 )
 from .matrices import (
     AuditContext,
@@ -35,55 +42,26 @@ from .matrices import (
     impl_cases_weak,
     np_weak_matrix,
 )
-from .space import PAIRWISE_BOUND, TUPLE_BOUND, guard_size, iter_universes
+from .space import PAIRWISE_BOUND, TUPLE_BOUND, UniverseTooLargeError, iter_universes
 
 
 class NoWitnessFoundError(ProblemError):
     """A witness search exhausted its space without finding one."""
 
 
-def _ctx(universe, context):
-    if universe.is_trivial:
-        raise TrivialUniverseError("audits require a non-trivial universe")
-    return context if context is not None else AuditContext(universe)
+class EmptySweepError(ProblemError):
+    """A sweep range that holds no universe to check."""
 
 
 # ---------------------------------------------------------------------------
 # Relation properties
 # ---------------------------------------------------------------------------
 
-def relation_properties(
-    rule: Rule,
-    universe: DecisionUniverse,
-    *,
-    context: AuditContext | None = None,
-) -> dict[str, AuditVerdict]:
-    """Completeness, reflexivity and the transitivity family for one rule."""
-    guard_size(universe, TUPLE_BOUND)
-    ctx = _ctx(universe, context)
-    rel = ctx.rel(rule)
-    space = ctx.space
-
-    out: dict[str, AuditVerdict] = {}
-    out["complete"] = check_axiom(Axiom.COMPLETENESS, rule, universe, context=ctx)
-
-    refl = bool(rel.weak.diagonal().all())
-    refl_witness = None
-    if not refl:
-        i = int(np.argmin(rel.weak.diagonal()))
-        refl_witness = Witness(profiles=(space.members(i),))
-    out["reflexive"] = AuditVerdict("reflexive", rule, refl, refl_witness)
-
-    out["transitive"] = check_axiom(Axiom.TRANSITIVITY, rule, universe, context=ctx)
-    out["quasitransitive"] = check_axiom(
-        Axiom.QUASI_TRANSITIVITY, rule, universe, context=ctx
-    )
-
-    sym_witness = _transitive_violation(space, rel.sym)
-    out["sym_transitive"] = AuditVerdict(
-        "sym_transitive", rule, sym_witness is None, sym_witness
-    )
-    return out
+def _check_reflexive(ctx, rule):
+    diagonal = ctx.rel(rule).weak.diagonal()
+    if diagonal.all():
+        return None
+    return Witness(profiles=(ctx.space.members(int(np.argmin(diagonal))),))
 
 
 def _replay_reflexive(rule, u, w):
@@ -96,8 +74,23 @@ def _replay_sym_transitive(rule, u, w):
     return _sym(rule, a, b) and _sym(rule, b, c) and not _sym(rule, a, c)
 
 
-register_replay("reflexive", _replay_reflexive)
-register_replay("sym_transitive", _replay_sym_transitive)
+_PROPERTIES = (
+    ("complete", "completeness"),
+    ("reflexive", "reflexive"),
+    ("transitive", "transitivity"),
+    ("quasitransitive", "quasitransitivity"),
+    ("sym_transitive", "sym_transitive"),
+)
+
+
+def relation_properties(
+    rule: Rule,
+    universe: DecisionUniverse,
+    *,
+    context: AuditContext | None = None,
+) -> dict[str, AuditVerdict]:
+    """Completeness, reflexivity and the transitivity family for one rule."""
+    return _run(tuple((key, check, rule) for key, check in _PROPERTIES), universe, context)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +101,16 @@ def refinement_name(coarse: Rule, fine: Rule) -> str:
     return f"refines:{coarse.value}->{fine.value}"
 
 
+def _refinement_witness(coarse, ctx, fine):
+    viol = ctx.rel(coarse).strict & ~ctx.rel(fine).strict
+    return _pair_witness(ctx, viol, refinement_name(coarse, fine))
+
+
+def _replay_refinement(coarse, rule, u, w):
+    a, b = (u.option(p) for p in w.profiles)
+    return _strict(coarse, a, b) and not _strict(rule, a, b)
+
+
 def refinement_check(
     coarse: Rule,
     fine: Rule,
@@ -116,31 +119,7 @@ def refinement_check(
     context: AuditContext | None = None,
 ) -> AuditVerdict:
     """Does the fine rule preserve every strict preference of the coarse one?"""
-    guard_size(universe, PAIRWISE_BOUND)
-    ctx = _ctx(universe, context)
-    viol = ctx.rel(coarse).strict & ~ctx.rel(fine).strict
-    hit = _first(viol)
-    witness = None
-    if hit:
-        a, b = hit
-        witness = Witness(
-            profiles=(ctx.space.members(a), ctx.space.members(b)),
-            note=refinement_name(coarse, fine),
-        )
-    return AuditVerdict(refinement_name(coarse, fine), fine, hit is None, witness)
-
-
-def _make_refinement_replay(coarse: Rule):
-    def _replay(rule, u, w):
-        a, b = (u.option(p) for p in w.profiles)
-        return _strict(coarse, a, b) and not _strict(rule, a, b)
-
-    return _replay
-
-
-for _coarse in Rule:
-    for _fine in Rule:
-        register_replay(refinement_name(_coarse, _fine), _make_refinement_replay(_coarse))
+    return CHECKS[refinement_name(coarse, fine)].verdict(fine, universe, context=context)
 
 
 def find_strictness_witness(
@@ -151,13 +130,8 @@ def find_strictness_witness(
     context: AuditContext | None = None,
 ) -> Witness | None:
     """First pair the coarse rule leaves unresolved but the fine rule decides."""
-    ctx = _ctx(universe, context)
-    viol = ctx.rel(fine).strict & ~ctx.rel(coarse).strict
-    hit = _first(viol)
-    if hit is None:
-        return None
-    a, b = hit
-    return Witness(profiles=(ctx.space.members(a), ctx.space.members(b)))
+    ctx = audit_context(universe, context, PAIRWISE_BOUND)
+    return _pair_witness(ctx, ctx.rel(fine).strict & ~ctx.rel(coarse).strict)
 
 
 # ---------------------------------------------------------------------------
@@ -176,62 +150,30 @@ def find_biposs_indifference_intransitivity(
     in lexicographic order and raises ``NoWitnessFoundError`` when the
     universe is too degenerate to contain one.
     """
-    guard_size(universe, TUPLE_BOUND)
-    ctx = _ctx(universe, context)
-    sym = ctx.rel(Rule.BIPOSS).sym
-    witness = _transitive_violation(ctx.space, sym)
-    if witness is None:
+    verdict = CHECKS["sym_transitive"].verdict(Rule.BIPOSS, universe, context=context)
+    if verdict.holds:
         raise NoWitnessFoundError(
             "indifference is transitive on this universe; "
             "need two positive levels and both polarities"
         )
-    return Witness(profiles=witness.profiles, note="biposs_sym_intransitive")
-
-
-def _replay_biposs_intransitive(rule, u, w):
-    a, b, c = (u.option(p) for p in w.profiles)
-    return (
-        _sym(Rule.BIPOSS, a, b)
-        and _sym(Rule.BIPOSS, b, c)
-        and not _sym(Rule.BIPOSS, a, c)
-    )
-
-
-register_replay("biposs_sym_intransitive", _replay_biposs_intransitive)
+    return Witness(profiles=verdict.witness.profiles, note="biposs_sym_intransitive")
 
 
 # ---------------------------------------------------------------------------
 # Independence consequences (used by the levelwise rule's audit)
 # ---------------------------------------------------------------------------
 
-COROLLARY_CHECKS = (
+COROLLARIES = (
     "add_indifferent_set",
     "swap_indifferent_sets",
     "swap_indifferent_singletons",
 )
 
 
-def independence_corollaries(
-    rule: Rule,
-    universe: DecisionUniverse,
-    *,
-    context: AuditContext | None = None,
-) -> dict[str, AuditVerdict]:
-    """Exchange principles that follow from transitivity plus independence.
-
-    * adding a set indifferent to nothing, disjoint from one side;
-    * swapping two mutually indifferent sets disjoint from both sides;
-    * swapping two mutually indifferent single arguments.
-    """
-    guard_size(universe, TUPLE_BOUND)
-    ctx = _ctx(universe, context)
+def _check_add_indifferent_set(ctx, rule):
+    # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
     rel = ctx.rel(rule)
     space = ctx.space
-    masks = np.arange(space.size, dtype=np.int64)
-    out: dict[str, AuditVerdict] = {}
-
-    # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
-    witness = None
     for c in range(1, space.size):
         if not rel.sym[c, 0]:
             continue
@@ -241,20 +183,20 @@ def independence_corollaries(
         hit = _first(left | right)
         if hit:
             ai, b = hit
-            witness = Witness(
+            return Witness(
                 profiles=(
                     space.members(int(free[ai])),
                     space.members(b),
                     space.members(c),
                 )
             )
-            break
-    out["add_indifferent_set"] = AuditVerdict(
-        "add_indifferent_set", rule, witness is None, witness
-    )
+    return None
 
+
+def _check_swap_indifferent_sets(ctx, rule):
     # Swapping C ~ D across the two sides, both disjoint from A and B.
-    witness = None
+    rel = ctx.rel(rule)
+    space = ctx.space
     for c, d in np.argwhere(rel.sym):
         if c == d:
             continue
@@ -264,7 +206,7 @@ def independence_corollaries(
         hit = _first(plain != swapped)
         if hit:
             ai, bj = hit
-            witness = Witness(
+            return Witness(
                 profiles=(
                     space.members(int(free[ai])),
                     space.members(int(free[bj])),
@@ -272,13 +214,14 @@ def independence_corollaries(
                     space.members(int(d)),
                 )
             )
-            break
-    out["swap_indifferent_sets"] = AuditVerdict(
-        "swap_indifferent_sets", rule, witness is None, witness
-    )
+    return None
 
+
+def _check_swap_indifferent_singletons(ctx, rule):
     # Swapping single arguments x ~ y; x may already sit in B, y in A.
-    witness = None
+    rel = ctx.rel(rule)
+    space = ctx.space
+    masks = np.arange(space.size, dtype=np.int64)
     for i, x_name in enumerate(space.names):
         xb = 1 << i
         for j, y_name in enumerate(space.names):
@@ -292,20 +235,14 @@ def independence_corollaries(
             hit = _first(plain != swapped)
             if hit:
                 ai, bj = hit
-                witness = Witness(
+                return Witness(
                     profiles=(
                         space.members(int(rows[ai])),
                         space.members(int(cols[bj])),
                     ),
                     args=(x_name, y_name),
                 )
-                break
-        if witness:
-            break
-    out["swap_indifferent_singletons"] = AuditVerdict(
-        "swap_indifferent_singletons", rule, witness is None, witness
-    )
-    return out
+    return None
 
 
 def _replay_add_indifferent_set(rule, u, w):
@@ -335,61 +272,27 @@ def _replay_swap_indifferent_singletons(rule, u, w):
     return _weak(rule, a, b) != _weak(rule, a.union(x), b.union(y))
 
 
-register_replay("add_indifferent_set", _replay_add_indifferent_set)
-register_replay("swap_indifferent_sets", _replay_swap_indifferent_sets)
-register_replay("swap_indifferent_singletons", _replay_swap_indifferent_singletons)
+def independence_corollaries(
+    rule: Rule,
+    universe: DecisionUniverse,
+    *,
+    context: AuditContext | None = None,
+) -> dict[str, AuditVerdict]:
+    """Exchange principles that follow from transitivity plus independence.
+
+    * adding a set indifferent to nothing, disjoint from one side;
+    * swapping two mutually indifferent sets disjoint from both sides;
+    * swapping two mutually indifferent single arguments.
+    """
+    return _run(tuple((name, name, rule) for name in COROLLARIES), universe, context)
 
 
 # ---------------------------------------------------------------------------
 # Encoding equivalences
 # ---------------------------------------------------------------------------
 
-def encoding_equivalence(
-    universe: DecisionUniverse,
-    *,
-    base: int | None = None,
-    context: AuditContext | None = None,
-) -> dict[str, AuditVerdict]:
-    """Do the numeric and case-split routes agree with the defining routes?
-
-    Checks, over every profile pair: net predisposition against the
-    signed-count levelwise rule, the capacity route against the two-ledger
-    levelwise rule, and the case-split route against the definitional
-    implicative rule.  Witnesses replay through the scalar functions.
-    """
-    guard_size(universe, TUPLE_BOUND)
-    ctx = _ctx(universe, context)
-    space = ctx.space
-    out: dict[str, AuditVerdict] = {}
-
-    def pair_witness(hit, note):
-        a, b = hit
-        return Witness(profiles=(space.members(a), space.members(b)), note=note)
-
-    hit = _first(np_weak_matrix(space, base) != ctx.rel(Rule.LEXI).weak)
-    out["np_equals_lexi"] = AuditVerdict(
-        "np_equals_lexi",
-        Rule.LEXI,
-        hit is None,
-        pair_witness(hit, "np_equals_lexi") if hit else None,
-    )
-
-    hit = _first(capacity_bilexi_weak_matrix(space, base) != ctx.rel(Rule.BILEXI).weak)
-    out["capacity_bilexi_equals_bilexi"] = AuditVerdict(
-        "capacity_bilexi_equals_bilexi",
-        Rule.BILEXI,
-        hit is None,
-        pair_witness(hit, "capacity_bilexi_equals_bilexi") if hit else None,
-    )
-
-    hit = _first(impl_cases_weak(space) != ctx.rel(Rule.IMPL).weak)
-    out["impl_cases_agree"] = AuditVerdict(
-        "impl_cases_agree",
-        Rule.IMPL,
-        hit is None,
-        pair_witness(hit, "impl_cases_agree") if hit else None,
-    )
-    return out
+def _agreement(build, note, ctx, rule):
+    return _pair_witness(ctx, build(ctx.space) != ctx.rel(rule).weak, note)
 
 
 def _replay_np_equals_lexi(rule, u, w):
@@ -407,9 +310,126 @@ def _replay_impl_cases(rule, u, w):
     return compare_impl(a, b) is not compare_impl_cases(a, b)
 
 
-register_replay("np_equals_lexi", _replay_np_equals_lexi)
-register_replay("capacity_bilexi_equals_bilexi", _replay_capacity_bilexi)
-register_replay("impl_cases_agree", _replay_impl_cases)
+# Each check compares an independent matrix route with one rule's matrix.
+_ENCODINGS = (
+    ("np_equals_lexi", Rule.LEXI, np_weak_matrix, _replay_np_equals_lexi),
+    ("capacity_bilexi_equals_bilexi", Rule.BILEXI, capacity_bilexi_weak_matrix,
+     _replay_capacity_bilexi),
+    ("impl_cases_agree", Rule.IMPL, impl_cases_weak, _replay_impl_cases),
+)
+
+
+def encoding_equivalence(
+    universe: DecisionUniverse,
+    *,
+    context: AuditContext | None = None,
+) -> dict[str, AuditVerdict]:
+    """Do the numeric and case-split routes agree with the defining routes?
+
+    Checks, over every profile pair: net predisposition against the
+    signed-count levelwise rule, the capacity route against the two-ledger
+    levelwise rule, and the case-split route against the definitional
+    implicative rule.  Witnesses replay through the scalar functions.
+    """
+    plan = tuple((name, name, rule) for name, rule, _, _ in _ENCODINGS)
+    return _run(plan, universe, context)
+
+
+# ---------------------------------------------------------------------------
+# Ground ranking of single arguments (a theorem 2 premise)
+# ---------------------------------------------------------------------------
+
+def _check_unbiased_ground(ctx, rule):
+    mine = ground_relation(rule, ctx.universe)
+    base = ground_relation(Rule.BIPOSS, ctx.universe)
+    n = len(mine.items)
+    for i in range(n):
+        for j in range(n):
+            if mine.outcomes[i][j] != base.outcomes[i][j]:
+                return Witness(args=(mine.items[i], mine.items[j]), note="unbiased_ground")
+    return None
+
+
+def _replay_unbiased_ground(rule, u, w):
+    def profile(item):
+        return u.empty if item == "0" else u.option({item})
+
+    a, b = (profile(item) for item in w.args)
+    return compare(rule, a, b) != compare(Rule.BIPOSS, a, b)
+
+
+# ---------------------------------------------------------------------------
+# The check registry
+# ---------------------------------------------------------------------------
+
+CHECKS: dict[str, Check] = {
+    **{check.name: check for check in AXIOMS.values()},
+    **{
+        name: Check(name, bound, sweep, replay)
+        for name, bound, sweep, replay in (
+            ("reflexive", PAIRWISE_BOUND, _check_reflexive, _replay_reflexive),
+            ("sym_transitive", TUPLE_BOUND, partial(_transitive_violation, part="sym"),
+             _replay_sym_transitive),
+            *(
+                (refinement_name(coarse, fine), PAIRWISE_BOUND,
+                 partial(_refinement_witness, coarse),
+                 partial(_replay_refinement, coarse))
+                for coarse in Rule
+                for fine in Rule
+            ),
+            ("refines_biposs", PAIRWISE_BOUND, partial(_refinement_witness, Rule.BIPOSS),
+             partial(_replay_refinement, Rule.BIPOSS)),
+            ("unbiased_ground", PAIRWISE_BOUND, _check_unbiased_ground,
+             _replay_unbiased_ground),
+            ("add_indifferent_set", TUPLE_BOUND, _check_add_indifferent_set,
+             _replay_add_indifferent_set),
+            ("swap_indifferent_sets", TUPLE_BOUND, _check_swap_indifferent_sets,
+             _replay_swap_indifferent_sets),
+            ("swap_indifferent_singletons", TUPLE_BOUND,
+             _check_swap_indifferent_singletons, _replay_swap_indifferent_singletons),
+            *(
+                (name, TUPLE_BOUND, partial(_agreement, build, name), replay)
+                for name, _, build, replay in _ENCODINGS
+            ),
+        )
+    },
+}
+
+
+def _tightest(checks: Iterable[str]) -> int:
+    return min(CHECKS[name].bound for name in checks)
+
+
+def _run(
+    plan: tuple[tuple[str, str, Rule], ...],
+    universe: DecisionUniverse,
+    context: AuditContext | None,
+    *,
+    stop: bool = False,
+) -> dict[str, AuditVerdict]:
+    """Verdicts of ``(key, check, rule)`` entries in order, on one shared context.
+
+    The universe is held to the tightest bound among the planned checks
+    before any of them runs; ``stop`` ends the run at the first failure.
+    """
+    ctx = audit_context(universe, context, _tightest(check for _, check, _ in plan))
+    out: dict[str, AuditVerdict] = {}
+    for key, check, rule in plan:
+        out[key] = verdict = CHECKS[check].verdict(rule, universe, context=ctx)
+        if stop and not verdict.holds:
+            break
+    return out
+
+
+def replay_witness(verdict: AuditVerdict, universe: DecisionUniverse) -> bool:
+    """Re-evaluate a failed verdict's witness through the scalar rule functions.
+
+    True means the witness genuinely violates the check.  Verdicts that
+    hold have nothing to replay.
+    """
+    if verdict.holds or verdict.witness is None:
+        raise ValueError("only failed verdicts carry a witness to replay")
+    return CHECKS[verdict.check].replay(verdict.rule, universe, verdict.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +451,32 @@ class BundleReport:
         return tuple(v for v in self.checks if not v.holds)
 
 
+@dataclass(frozen=True)
+class Bundle:
+    """A premise set that exactly one rule, the designated one, satisfies.
+
+    The designated rule passes every check on every universe; each of the
+    other rules fails some check somewhere, with a witness.  Calling the
+    bundle runs its checks in order on one universe.
+    """
+
+    name: str
+    checks: tuple[str, ...]
+    designated: Rule
+
+    def __call__(
+        self,
+        rule: Rule,
+        universe: DecisionUniverse,
+        *,
+        context: AuditContext | None = None,
+        stop_at_first_failure: bool = False,
+    ) -> BundleReport:
+        plan = tuple((check, check, rule) for check in self.checks)
+        verdicts = _run(plan, universe, context, stop=stop_at_first_failure)
+        return BundleReport(self.name, rule, tuple(verdicts.values()))
+
+
 THEOREM1_AXIOMS = (
     Axiom.CA,
     Axiom.SQC,
@@ -444,109 +490,24 @@ THEOREM1_AXIOMS = (
     Axiom.GCLO,
 )
 
-
-def theorem1_bundle(
-    rule: Rule,
-    universe: DecisionUniverse,
-    *,
-    context: AuditContext | None = None,
-    stop_at_first_failure: bool = False,
-) -> BundleReport:
-    """The full premise set whose joint satisfaction pins down the single-scale rule.
-
-    Reflexivity and quasi-transitivity first, then the bipolar axioms.
-    Exactly one of the six rules passes everything on every universe;
-    for each of the others some member fails somewhere, with a witness.
-    """
-    guard_size(universe, TUPLE_BOUND)
-    ctx = _ctx(universe, context)
-    rel = ctx.rel(rule)
-    refl = bool(rel.weak.diagonal().all())
-    refl_witness = None
-    if not refl:
-        i = int(np.argmin(rel.weak.diagonal()))
-        refl_witness = Witness(profiles=(ctx.space.members(i),))
-    checks: list[AuditVerdict] = [
-        AuditVerdict("reflexive", rule, refl, refl_witness),
-        check_axiom(Axiom.QUASI_TRANSITIVITY, rule, universe, context=ctx),
-    ]
-    if not (stop_at_first_failure and any(not v.holds for v in checks)):
-        for axiom in THEOREM1_AXIOMS:
-            verdict = check_axiom(axiom, rule, universe, context=ctx)
-            checks.append(verdict)
-            if stop_at_first_failure and not verdict.holds:
-                break
-    return BundleReport("theorem1", rule, tuple(checks))
-
+# The full premise set whose joint satisfaction pins down the single-scale
+# rule: reflexivity and quasi-transitivity first, then the bipolar axioms.
+theorem1_bundle = Bundle(
+    "theorem1",
+    ("reflexive", "quasitransitivity", *(axiom.value for axiom in THEOREM1_AXIOMS)),
+    Rule.BIPOSS,
+)
 
 THEOREM2_PREMISES = ("completeness", "transitivity", "prefindependence",
                      "refines_biposs", "unbiased_ground")
 
+# Premises singling out the signed-count levelwise rule among refinements:
+# complete, transitive, independent of shared arguments, refines the
+# single-scale rule's strict part, and ranks individual arguments exactly
+# as the single-scale rule does.
+theorem2_bundle = Bundle("theorem2", THEOREM2_PREMISES, Rule.LEXI)
 
-def theorem2_bundle(
-    rule: Rule,
-    universe: DecisionUniverse,
-    *,
-    context: AuditContext | None = None,
-    stop_at_first_failure: bool = False,
-) -> BundleReport:
-    """Premises singling out the signed-count levelwise rule among refinements.
-
-    Complete, transitive, independent of shared arguments, refines the
-    single-scale rule's strict part, and ranks individual arguments
-    exactly as the single-scale rule does.
-    """
-    guard_size(universe, TUPLE_BOUND)
-    ctx = _ctx(universe, context)
-    checks: list[AuditVerdict] = []
-
-    def add(verdict: AuditVerdict) -> bool:
-        checks.append(verdict)
-        return stop_at_first_failure and not verdict.holds
-
-    done = add(check_axiom(Axiom.COMPLETENESS, rule, universe, context=ctx))
-    if not done:
-        done = add(check_axiom(Axiom.TRANSITIVITY, rule, universe, context=ctx))
-    if not done:
-        done = add(check_axiom(Axiom.PREF_INDEPENDENCE, rule, universe, context=ctx))
-    if not done:
-        verdict = refinement_check(Rule.BIPOSS, rule, universe, context=ctx)
-        done = add(
-            AuditVerdict("refines_biposs", rule, verdict.holds, verdict.witness)
-        )
-    if not done:
-        mine = ground_relation(rule, universe)
-        base = ground_relation(Rule.BIPOSS, universe)
-        unbiased = mine.outcomes == base.outcomes
-        witness = None
-        if not unbiased:
-            n = len(mine.items)
-            i, j = next(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if mine.outcomes[i][j] != base.outcomes[i][j]
-            )
-            witness = Witness(args=(mine.items[i], mine.items[j]), note="unbiased_ground")
-        add(AuditVerdict("unbiased_ground", rule, unbiased, witness))
-    return BundleReport("theorem2", rule, tuple(checks))
-
-
-def _replay_refines_biposs(rule, u, w):
-    a, b = (u.option(p) for p in w.profiles)
-    return _strict(Rule.BIPOSS, a, b) and not _strict(rule, a, b)
-
-
-def _replay_unbiased_ground(rule, u, w):
-    def profile(item):
-        return u.empty if item == "0" else u.option({item})
-
-    a, b = (profile(item) for item in w.args)
-    return compare(rule, a, b) != compare(Rule.BIPOSS, a, b)
-
-
-register_replay("refines_biposs", _replay_refines_biposs)
-register_replay("unbiased_ground", _replay_unbiased_ground)
+BUNDLES = {bundle.name: bundle for bundle in (theorem1_bundle, theorem2_bundle)}
 
 
 REFINEMENT_CHAIN = (
@@ -554,6 +515,18 @@ REFINEMENT_CHAIN = (
     (Rule.BIPOSS, Rule.DISCRI),
     (Rule.DISCRI, Rule.BILEXI),
     (Rule.BILEXI, Rule.LEXI),
+)
+
+_PROPOSITIONS = (
+    ("biposs_complete", "completeness", Rule.BIPOSS),
+    ("biposs_quasitransitive", "quasitransitivity", Rule.BIPOSS),
+    ("impl_transitive", "transitivity", Rule.IMPL),
+    *(
+        (refinement_name(coarse, fine), refinement_name(coarse, fine), fine)
+        for coarse, fine in REFINEMENT_CHAIN
+    ),
+    *((name, name, rule) for name, rule, _, _ in _ENCODINGS),
+    *((f"lexi_{name}", name, Rule.LEXI) for name in COROLLARIES),
 )
 
 
@@ -569,26 +542,7 @@ def proposition_checks(
     the encoding equivalences, and the exchange corollaries for the
     signed-count rule.
     """
-    ctx = _ctx(universe, context)
-    out: dict[str, AuditVerdict] = {}
-    out["biposs_complete"] = check_axiom(
-        Axiom.COMPLETENESS, Rule.BIPOSS, universe, context=ctx
-    )
-    out["biposs_quasitransitive"] = check_axiom(
-        Axiom.QUASI_TRANSITIVITY, Rule.BIPOSS, universe, context=ctx
-    )
-    out["impl_transitive"] = check_axiom(
-        Axiom.TRANSITIVITY, Rule.IMPL, universe, context=ctx
-    )
-    for coarse, fine in REFINEMENT_CHAIN:
-        verdict = refinement_check(coarse, fine, universe, context=ctx)
-        out[verdict.check] = verdict
-    out.update(encoding_equivalence(universe, context=ctx))
-    for name, verdict in independence_corollaries(
-        Rule.LEXI, universe, context=ctx
-    ).items():
-        out[f"lexi_{name}"] = verdict
-    return out
+    return _run(_PROPOSITIONS, universe, context)
 
 
 # ---------------------------------------------------------------------------
@@ -601,24 +555,42 @@ class SweepFinding:
     verdict: AuditVerdict
 
 
+def _universes(bound: int, max_args: int, levels: int) -> Iterator[DecisionUniverse]:
+    """The sweep's universes, after refusing a range that is empty or over ``bound``.
+
+    A refused range must not pass for a sweep that found nothing.
+    """
+    if levels < 2:
+        raise EmptySweepError(
+            f"a sweep needs at least two levels (the null level plus one), got {levels}"
+        )
+    if max_args < 1:
+        raise EmptySweepError(f"a sweep up to {max_args} arguments holds no universe")
+    if max_args > bound:
+        raise UniverseTooLargeError(
+            f"sweep reaches {max_args} arguments, enumeration bound is {bound}"
+        )
+    return iter_universes(max_args, levels)
+
+
 def sweep_axiom(
     axiom: Axiom,
     rule: Rule,
     *,
     max_args: int,
     levels: int,
-    universes: Iterable[DecisionUniverse] | None = None,
 ) -> SweepFinding | None:
     """First universe (in canonical sweep order) where the axiom fails, if any."""
-    for universe in universes or iter_universes(max_args, levels):
-        verdict = check_axiom(axiom, rule, universe)
+    check = AXIOMS[axiom]
+    for universe in _universes(check.bound, max_args, levels):
+        verdict = check.verdict(rule, universe)
         if not verdict.holds:
             return SweepFinding(universe, verdict)
     return None
 
 
 def sweep_bundle(
-    bundle: Callable[..., BundleReport],
+    bundle: Bundle,
     rule: Rule,
     *,
     max_args: int,
@@ -632,9 +604,29 @@ def sweep_bundle(
     the differential role: it succeeds iff some check fails somewhere,
     returning that finding as the witness.
     """
-    for universe in iter_universes(max_args, levels):
+    for universe in _universes(_tightest(bundle.checks), max_args, levels):
         report = bundle(rule, universe, stop_at_first_failure=not expect_all_hold)
         if not report.all_hold:
             finding = SweepFinding(universe, report.failures[0])
             return (not expect_all_hold, finding)
     return (expect_all_hold, None)
+
+
+def sweep_propositions(
+    *, max_args: int, levels: int
+) -> tuple[int, dict[str, SweepFinding | None]]:
+    """Every proposition check over the sweep.
+
+    Returns the number of universes examined and, per check, its first
+    failure or ``None`` when it held everywhere.
+    """
+    count = 0
+    findings: dict[str, SweepFinding | None] = {}
+    bound = _tightest(check for _, check, _ in _PROPOSITIONS)
+    for universe in _universes(bound, max_args, levels):
+        count += 1
+        for name, verdict in proposition_checks(universe).items():
+            if findings.get(name) is None and not verdict.holds:
+                findings[name] = SweepFinding(universe, verdict)
+            findings.setdefault(name, None)
+    return count, findings

@@ -31,26 +31,25 @@ from .problem import (
     ProblemFormatError,
     fixture_path,
     load_problem,
-    validate_document,
+    read_problem,
 )
 from .rules import Rule, compare
 from .audit import (
+    BUNDLES,
     Axiom,
     AuditContext,
+    AuditVerdict,
     check_axiom,
-    iter_universes,
     proposition_checks,
     replay_witness,
     sweep_axiom,
-    theorem1_bundle,
-    theorem2_bundle,
+    sweep_bundle,
+    sweep_propositions,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
-
-BUNDLES = ("theorem1", "theorem2", "propositions")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,17 +121,7 @@ def _verdict_json(v):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    path = _resolve(args.path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        _emit(
-            args,
-            {"valid": False, "violations": [{"code": "ParseError", "message": str(exc)}]},
-            [f"ParseError: {exc}"],
-        )
-        return EXIT_USAGE
-    report = validate_document(data)
+    problem, report = read_problem(_resolve(args.path))
     if not report.ok:
         _emit(
             args,
@@ -145,7 +134,6 @@ def cmd_validate(args) -> int:
             [f"{v.code}: {v.message}" for v in report.violations],
         )
         return EXIT_USAGE
-    problem = load_problem(path)
     payload = {
         "valid": True,
         "arguments": len(problem.universe.arguments),
@@ -328,94 +316,97 @@ def _print_verdicts(args, verdicts, universe=None) -> None:
     _emit(args, payload, lines)
 
 
-def _bundle_expectation(bundle: str, rule: Rule) -> bool:
-    if bundle == "theorem1":
-        return rule is Rule.BIPOSS
-    if bundle == "theorem2":
-        return rule is Rule.LEXI
-    return True
-
-
 def _audit_bundle_on_universe(args, bundle, rules, universe) -> int:
     ctx = AuditContext(universe)
     failed_expected = False
     verdicts = []
     for rule in rules:
-        fn = theorem1_bundle if bundle == "theorem1" else theorem2_bundle
-        report = fn(rule, universe, context=ctx)
+        report = bundle(rule, universe, context=ctx)
         verdicts.extend(report.checks)
-        if _bundle_expectation(bundle, rule) and not report.all_hold:
+        if rule is bundle.designated and not report.all_hold:
             failed_expected = True
     _print_verdicts(args, verdicts, universe)
     return EXIT_AUDIT if failed_expected else EXIT_OK
 
 
-def _audit_bundle_sweep(args, bundle, rules, max_args, levels) -> int:
-    fn = theorem1_bundle if bundle == "theorem1" else theorem2_bundle
-    exit_code = EXIT_OK
-    lines = []
-    payload = []
-    for rule in rules:
-        expect_all = _bundle_expectation(bundle, rule)
-        found_failure = None
-        for universe in iter_universes(max_args, levels):
-            report = fn(rule, universe, stop_at_first_failure=not expect_all)
-            if not report.all_hold:
-                found_failure = (universe, report.failures[0])
-                break
-        if expect_all:
-            ok = found_failure is None
-            detail = "holds on every universe in range" if ok else (
-                f"FAILS: {found_failure[1].describe()}"
-            )
-        else:
-            ok = found_failure is not None
-            if ok:
-                universe, verdict = found_failure
-                replayed = replay_witness(verdict, universe) if verdict.witness else True
-                detail = (
-                    f"fails as expected ({verdict.check}; witness "
-                    f"{'replays' if replayed else 'DOES NOT replay'})"
-                )
-                ok = ok and replayed
-            else:
-                detail = "UNEXPECTEDLY passes the whole bundle in range"
-        status = "ok" if ok else "FAIL"
-        lines.append(f"{bundle:<10} {rule.value:<8} {status}  {detail}")
-        payload.append({"bundle": bundle, "rule": rule.value, "ok": ok, "detail": detail})
-        if not ok:
-            exit_code = EXIT_AUDIT
-    _emit(args, {"results": payload}, lines)
-    return exit_code
+def _bundle_sweep_result(bundle, rule, max_args, levels) -> tuple[bool, str]:
+    expect_all = rule is bundle.designated
+    ok, finding = sweep_bundle(
+        bundle, rule, max_args=max_args, levels=levels, expect_all_hold=expect_all
+    )
+    if expect_all:
+        if ok:
+            return ok, "holds on every universe in range"
+        return ok, f"FAILS: {finding.verdict.describe()}"
+    if finding is None:
+        return ok, "UNEXPECTEDLY passes the whole bundle in range"
+    verdict = finding.verdict
+    replayed = replay_witness(verdict, finding.universe)
+    return replayed, (
+        f"fails as expected ({verdict.check}; witness "
+        f"{'replays' if replayed else 'DOES NOT replay'})"
+    )
 
 
-def _audit_propositions(args, universes) -> int:
-    exit_code = EXIT_OK
+def _print_propositions(args, count, failures) -> int:
+    # ``failures`` maps each check to its first failed verdict, or None.
     lines = []
     payload = []
-    failures: dict[str, object] = {}
-    names: list[str] | None = None
-    count = 0
-    for universe in universes:
-        count += 1
-        checks = proposition_checks(universe)
-        if names is None:
-            names = list(checks)
-        for name, verdict in checks.items():
-            if not verdict.holds and name not in failures:
-                failures[name] = (universe, verdict)
-    for name in names or []:
-        if name in failures:
-            _, verdict = failures[name]
-            lines.append(f"{name:<34} FAIL  {verdict.describe()}")
-            payload.append({"check": name, "ok": False})
-            exit_code = EXIT_AUDIT
-        else:
+    for name, verdict in failures.items():
+        if verdict is None:
             lines.append(f"{name:<34} ok")
-            payload.append({"check": name, "ok": True})
+        else:
+            lines.append(f"{name:<34} FAIL  {verdict.describe()}")
+        payload.append({"check": name, "ok": verdict is None})
     lines.append(f"({count} universes checked)")
     _emit(args, {"results": payload, "universes": count}, lines)
-    return exit_code
+    return EXIT_OK if all(v is None for v in failures.values()) else EXIT_AUDIT
+
+
+def _audit_sweep(args, rules) -> int:
+    max_args, levels = _parse_generate(args.generate)
+    if args.bundle == "propositions":
+        count, findings = sweep_propositions(max_args=max_args, levels=levels)
+        failures = {name: f and f.verdict for name, f in findings.items()}
+        return _print_propositions(args, count, failures)
+    if args.bundle is not None:
+        bundle = BUNDLES[args.bundle]
+        lines = []
+        payload = []
+        for rule in rules:
+            ok, detail = _bundle_sweep_result(bundle, rule, max_args, levels)
+            status = "ok" if ok else "FAIL"
+            lines.append(f"{bundle.name:<10} {rule.value:<8} {status}  {detail}")
+            payload.append(
+                {"bundle": bundle.name, "rule": rule.value, "ok": ok, "detail": detail}
+            )
+        _emit(args, {"results": payload}, lines)
+        return EXIT_OK if all(entry["ok"] for entry in payload) else EXIT_AUDIT
+
+    axiom = Axiom(args.axiom)
+    verdicts = []
+    for rule in rules:
+        finding = sweep_axiom(axiom, rule, max_args=max_args, levels=levels)
+        holds = AuditVerdict(axiom.value, rule, True)
+        verdicts.append(finding.verdict if finding else holds)
+    payload = [
+        {
+            "axiom": axiom.value,
+            "rule": v.rule.value,
+            "holds": v.holds,
+            "witness": _witness_json(v.witness),
+        }
+        for v in verdicts
+    ]
+    _emit(args, {"results": payload}, [v.describe() for v in verdicts])
+    return _expectation_exit(args, verdicts)
+
+
+def _expectation_exit(args, verdicts) -> int:
+    expected = args.expect
+    if expected is not None and any((expected == "holds") != v.holds for v in verdicts):
+        return EXIT_AUDIT
+    return EXIT_OK
 
 
 def cmd_audit(args) -> int:
@@ -425,63 +416,24 @@ def cmd_audit(args) -> int:
         raise ProblemFormatError("audit needs exactly one of --axiom or --bundle")
 
     rules = list(Rule) if args.rule in (None, "all") else [Rule(args.rule)]
-
     if args.generate is not None:
-        max_args, levels = _parse_generate(args.generate)
-        if args.bundle == "propositions":
-            return _audit_propositions(args, iter_universes(max_args, levels))
-        if args.bundle is not None:
-            return _audit_bundle_sweep(args, args.bundle, rules, max_args, levels)
-        axiom = Axiom(args.axiom)
-        exit_code = EXIT_OK
-        verdicts = []
-        for rule in rules:
-            finding = sweep_axiom(axiom, rule, max_args=max_args, levels=levels)
-            if finding is None:
-                verdicts.append((rule, None))
-            else:
-                verdicts.append((rule, finding))
-        lines = []
-        payload = []
-        for rule, finding in verdicts:
-            holds = finding is None
-            expected = args.expect
-            mismatch = expected is not None and (
-                (expected == "holds") != holds
-            )
-            if mismatch:
-                exit_code = EXIT_AUDIT
-            line = f"{axiom.value:<18} {rule.value:<8} {'ok' if holds else 'FAIL'}"
-            if finding is not None:
-                line += f"  witness: {finding.verdict.describe()}"
-            lines.append(line)
-            payload.append(
-                {
-                    "axiom": axiom.value,
-                    "rule": rule.value,
-                    "holds": holds,
-                    "witness": _witness_json(finding.verdict.witness) if finding else None,
-                }
-            )
-        _emit(args, {"results": payload}, lines)
-        return exit_code
+        return _audit_sweep(args, rules)
 
     problem = _load(args.path)
     universe = _audit_universe(problem)
     if args.bundle == "propositions":
-        return _audit_propositions(args, [universe])
+        checks = proposition_checks(universe)
+        return _print_propositions(
+            args, 1, {name: None if v.holds else v for name, v in checks.items()}
+        )
     if args.bundle is not None:
-        return _audit_bundle_on_universe(args, args.bundle, rules, universe)
+        return _audit_bundle_on_universe(args, BUNDLES[args.bundle], rules, universe)
 
     axiom = Axiom(args.axiom)
     ctx = AuditContext(universe)
     verdicts = [check_axiom(axiom, rule, universe, context=ctx) for rule in rules]
     _print_verdicts(args, verdicts, universe)
-    if args.expect is not None:
-        for v in verdicts:
-            if (args.expect == "holds") != v.holds:
-                return EXIT_AUDIT
-    return EXIT_OK
+    return _expectation_exit(args, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rule", choices=[r.value for r in Rule] + ["all"], default="all")
     p.add_argument("--axiom", choices=[a.value for a in Axiom])
-    p.add_argument("--bundle", choices=BUNDLES)
+    p.add_argument("--bundle", choices=[*BUNDLES, "propositions"])
     p.add_argument(
         "--expect", choices=["holds", "fails"],
         help="exit 2 unless the axiom verdict matches",

@@ -321,20 +321,12 @@ class ValidationReport:
 
 
 def validate_universe(universe: DecisionUniverse) -> ValidationReport:
-    """Check universe invariants: unique names, at least one non-null argument.
+    """Check that at least one argument is not null.
 
-    Duplicate names cannot survive construction of a ``DecisionUniverse``,
-    but the scan is kept so reports built from raw documents share one
-    vocabulary of violation codes.
+    Names need no check: a ``DecisionUniverse`` refuses duplicates when it
+    is built.
     """
     violations: list[Violation] = []
-    seen: set[str] = set()
-    for arg in universe.arguments:
-        if arg.name in seen:
-            violations.append(
-                Violation("DuplicateName", f"argument {arg.name!r} declared twice")
-            )
-        seen.add(arg.name)
     if universe.is_trivial:
         violations.append(
             Violation(
@@ -409,7 +401,11 @@ class OptionProfile:
         return tuple(counts)
 
     def section(self, level: int) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-        """Members sitting exactly at ``level``, then their pro and con parts."""
+        """Members sitting exactly at ``level``, then their pro and con parts.
+
+        Sections over the levels above the null one partition the option's
+        non-null members; the null-level section holds only inert arguments.
+        """
         if not 0 <= level < len(self.universe.scale):
             raise UnknownLevelError(f"level index {level} outside the scale")
         at = frozenset(
@@ -435,15 +431,6 @@ class OptionProfile:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def lambda_section(option: OptionProfile, level: int):
-    """Section of an option at one level: ``(all, pros, cons)`` at that level.
-
-    Sections over the levels above the null one partition the option's
-    non-null members; the null-level section holds only inert arguments.
-    """
-    return option.section(level)
 
 
 def require_same_universe(a: OptionProfile, b: OptionProfile) -> None:

@@ -39,6 +39,7 @@ from .core import (
 FIXTURES = ("luc", "lucy", "luka")
 
 _POLARITIES = (Polarity.PRO.value, Polarity.CON.value, BOTH)
+_TRIVIAL = "TrivialUniverse"  # the one violation that still yields a problem
 
 
 class ProblemFormatError(ProblemError):
@@ -57,92 +58,141 @@ class Problem:
             raise ProblemFormatError(f"unknown option {name!r}") from None
 
 
-def _fail(where: str, message: str):
-    raise ProblemFormatError(f"{where}: {message}")
+def _argument_error(entry, levels) -> tuple[str, str] | None:
+    """Field suffix and message of an argument declaration's first defect."""
+    if not isinstance(entry, dict):
+        return "", "expected an object"
+    for key in ("name", "polarity", "level"):
+        if key not in entry:
+            return "", f"missing field {key!r}"
+    name, polarity, level = entry["name"], entry["polarity"], entry["level"]
+    if not isinstance(name, str) or not name:
+        return ".name", "expected a non-empty string"
+    if polarity not in _POLARITIES:
+        return ".polarity", f"expected one of {_POLARITIES}, got {polarity!r}"
+    if not isinstance(level, str):
+        return ".level", "levels are referenced by label"
+    if level not in levels:
+        return ".level", f"unknown level label {level!r}"
+    return None
 
 
-def _expanded_arguments(scale: ImportanceScale, raw_args) -> list[Argument]:
+def _read(data, source: str) -> tuple[Problem | None, ValidationReport]:
+    """Parse a document in one pass, collecting every violation in document order.
+
+    A defect of the scale, of the argument list or of the option table as
+    a whole ends the pass, and so do defective argument declarations once
+    all are collected; defects of single options are collected and the
+    pass goes on.  The problem is ``None`` when any violation other than
+    triviality was found.
+    """
+    found: list[Violation] = []
+
+    def violation(where: str, message: str, code: str = "ParseError"):
+        found.append(Violation(code, f"{where}: {message}"))
+        return None, ValidationReport(tuple(found))
+
+    if not isinstance(data, dict):
+        return violation(source, "expected a JSON object at the top level")
+    levels = data.get("scale")
+    if not isinstance(levels, list) or not all(isinstance(s, str) for s in levels):
+        return violation("scale", "expected a list of level labels, bottom first")
+    if len(levels) < 2:
+        return violation("scale", "need at least two levels (the null level plus one)")
+    if len(set(levels)) != len(levels):
+        return violation("scale", "level labels must be distinct")
+    scale = ImportanceScale(tuple(levels))
+
+    raw_args = data.get("arguments")
+    if not isinstance(raw_args, list):
+        return violation("arguments", "expected a list of argument declarations")
     expanded: list[Argument] = []
     for i, entry in enumerate(raw_args):
-        where = f"arguments[{i}]"
-        if not isinstance(entry, dict):
-            _fail(where, "expected an object")
-        for key in ("name", "polarity", "level"):
-            if key not in entry:
-                _fail(where, f"missing field {key!r}")
-        name, polarity, level = entry["name"], entry["polarity"], entry["level"]
-        if not isinstance(name, str) or not name:
-            _fail(f"{where}.name", "expected a non-empty string")
-        if polarity not in _POLARITIES:
-            _fail(f"{where}.polarity", f"expected one of {_POLARITIES}, got {polarity!r}")
-        if not isinstance(level, str):
-            _fail(f"{where}.level", "levels are referenced by label")
-        if level not in scale.levels:
-            _fail(f"{where}.level", f"unknown level label {level!r}")
-        decl = ArgumentDecl(name, polarity, scale.index(level))
-        expanded.extend(duplicate_both_polarity(decl))
-    return expanded
+        error = _argument_error(entry, scale.levels)
+        if error:
+            violation(f"arguments[{i}]{error[0]}", error[1])
+        else:
+            decl = ArgumentDecl(entry["name"], entry["polarity"], scale.index(entry["level"]))
+            expanded.extend(duplicate_both_polarity(decl))
+    if found:
+        return None, ValidationReport(tuple(found))
+    seen: set[str] = set()
+    for arg in expanded:
+        if arg.name in seen:
+            violation("arguments", f"duplicate argument name {arg.name!r}", "DuplicateName")
+        seen.add(arg.name)
+    if all(arg.is_null for arg in expanded):
+        found.append(Violation(_TRIVIAL, "every argument has null importance"))
+
+    raw_options = data.get("options", {})
+    if not isinstance(raw_options, dict):
+        return violation(
+            "options", "expected an object mapping option names to member lists"
+        )
+    for name, members in raw_options.items():
+        where = f"options.{name}"
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            violation(where, "expected a list of argument names")
+        elif len(set(members)) != len(members):
+            violation(where, "an option lists each argument at most once")
+        elif not seen.issuperset(members):
+            violation(where, f"unknown arguments: {sorted(set(members) - seen)}")
+    report = ValidationReport(tuple(found))
+    if any(v.code != _TRIVIAL for v in found):
+        return None, report
+    universe = DecisionUniverse(scale, tuple(expanded))
+    options = {name: universe.option(members) for name, members in raw_options.items()}
+    return Problem(universe, options), report
 
 
-def _parse_scale(data) -> ImportanceScale:
-    raw_scale = data.get("scale")
-    if not isinstance(raw_scale, list) or not all(isinstance(s, str) for s in raw_scale):
-        _fail("scale", "expected a list of level labels, bottom first")
-    if len(raw_scale) < 2:
-        _fail("scale", "need at least two levels (the null level plus one)")
-    if len(set(raw_scale)) != len(raw_scale):
-        _fail("scale", "level labels must be distinct")
-    return ImportanceScale(tuple(raw_scale))
+def _problem_or_raise(problem: Problem | None, report: ValidationReport) -> Problem:
+    if problem is None:
+        errors = (v.message for v in report.violations if v.code != _TRIVIAL)
+        raise ProblemFormatError(next(errors))
+    return problem
 
 
 def parse_problem(data: dict, source: str = "<data>") -> Problem:
     """Build a problem from a parsed JSON document.
 
-    Raises :class:`ProblemFormatError` with a positioned message on any
-    structural defect.  Triviality is *not* an error here: loading a
+    Raises :class:`ProblemFormatError` with a positioned message on the
+    first structural defect.  Triviality is *not* an error here: loading a
     trivial problem is allowed, auditing it is not.
     """
-    if not isinstance(data, dict):
-        _fail(source, "expected a JSON object at the top level")
-    scale = _parse_scale(data)
-
-    raw_args = data.get("arguments")
-    if not isinstance(raw_args, list):
-        _fail("arguments", "expected a list of argument declarations")
-    expanded = _expanded_arguments(scale, raw_args)
-    seen: set[str] = set()
-    for arg in expanded:
-        if arg.name in seen:
-            _fail("arguments", f"duplicate argument name {arg.name!r}")
-        seen.add(arg.name)
-    universe = DecisionUniverse(scale, tuple(expanded))
-
-    raw_options = data.get("options", {})
-    if not isinstance(raw_options, dict):
-        _fail("options", "expected an object mapping option names to member lists")
-    options: dict[str, OptionProfile] = {}
-    for name, members in raw_options.items():
-        where = f"options.{name}"
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-            _fail(where, "expected a list of argument names")
-        if len(set(members)) != len(members):
-            _fail(where, "an option lists each argument at most once")
-        unknown = set(members) - seen
-        if unknown:
-            _fail(where, f"unknown arguments: {sorted(unknown)}")
-        options[name] = universe.option(members)
-    return Problem(universe, options)
+    return _problem_or_raise(*_read(data, source))
 
 
-def load_problem(path: str | Path) -> Problem:
+def validate_document(data: dict) -> ValidationReport:
+    """Every violation in a raw document, found in the pass ``parse_problem`` makes.
+
+    Structural defects are ``ParseError``; repeated argument names are
+    ``DuplicateName`` and an all-null universe is ``TrivialUniverse``.
+    """
+    return _read(data, "<data>")[1]
+
+
+def read_problem(path: str | Path) -> tuple[Problem | None, ValidationReport]:
+    """Parse a problem file in one pass: the problem, if any, and every violation.
+
+    A file that cannot be read, is not UTF-8 or is not JSON yields one
+    ``ParseError`` and no problem.
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
     except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"{path}: invalid JSON ({exc})") from exc
+        message = f"{path}: invalid JSON ({exc})"
     except OSError as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-    return parse_problem(data, source=str(path))
+        message = f"{path}: {exc}"
+    else:
+        return _read(data, str(path))
+    return None, ValidationReport((Violation("ParseError", message),))
+
+
+def load_problem(path: str | Path) -> Problem:
+    return _problem_or_raise(*read_problem(path))
 
 
 def serialize_problem(problem: Problem) -> dict:
@@ -163,58 +213,6 @@ def serialize_problem(problem: Problem) -> dict:
             for name, profile in problem.options.items()
         },
     }
-
-
-def validate_document(data: dict) -> ValidationReport:
-    """Collect validation findings from a raw document without failing fast.
-
-    Structural defects surface as ``ParseError`` violations; on a
-    structurally sound document the universe-level findings (duplicate
-    names, triviality) are reported with their own codes.
-    """
-    violations: list[Violation] = []
-    try:
-        scale = _parse_scale(data if isinstance(data, dict) else {})
-        raw_args = data.get("arguments")
-        if not isinstance(raw_args, list):
-            _fail("arguments", "expected a list of argument declarations")
-        expanded = _expanded_arguments(scale, raw_args)
-    except ProblemFormatError as exc:
-        violations.append(Violation("ParseError", str(exc)))
-        return ValidationReport(tuple(violations))
-
-    seen: set[str] = set()
-    for arg in expanded:
-        if arg.name in seen:
-            violations.append(
-                Violation("DuplicateName", f"argument {arg.name!r} declared twice")
-            )
-        seen.add(arg.name)
-    if all(arg.is_null for arg in expanded):
-        violations.append(
-            Violation("TrivialUniverse", "every argument has null importance")
-        )
-
-    raw_options = data.get("options", {})
-    if not isinstance(raw_options, dict):
-        violations.append(Violation("ParseError", "options: expected an object"))
-        return ValidationReport(tuple(violations))
-    for name, members in raw_options.items():
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-            violations.append(
-                Violation("ParseError", f"options.{name}: expected a list of names")
-            )
-            continue
-        if len(set(members)) != len(members):
-            violations.append(
-                Violation("ParseError", f"options.{name}: repeated member")
-            )
-        unknown = sorted(set(members) - seen)
-        if unknown:
-            violations.append(
-                Violation("ParseError", f"options.{name}: unknown arguments {unknown}")
-            )
-    return ValidationReport(tuple(violations))
 
 
 def fixture_path(name: str) -> Path:

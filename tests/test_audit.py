@@ -4,11 +4,14 @@ import pytest
 
 from proscons import Outcome, Rule, TrivialUniverseError, compare
 from proscons.audit import (
+    CHECKS,
     Axiom,
     AuditContext,
+    AuditVerdict,
     NoWitnessFoundError,
     ProfileSpace,
     UniverseTooLargeError,
+    Witness,
     check_axiom,
     encoding_equivalence,
     enumerate_profiles,
@@ -16,6 +19,7 @@ from proscons.audit import (
     find_strictness_witness,
     independence_corollaries,
     iter_universes,
+    proposition_checks,
     refinement_check,
     relation_properties,
     replay_witness,
@@ -178,6 +182,17 @@ class TestRefinement:
         assert not verdict.holds
         assert replay_witness(verdict, luc.universe)
 
+    def test_reversed_refinement_witness_replays_only_in_order(self):
+        u = make_universe(3, [("x", "pro", 2), ("y", "pro", 1)])
+        verdict = refinement_check(Rule.LEXI, Rule.BIPOSS, u)
+        assert not verdict.holds
+        assert verdict.witness.profiles == (frozenset({"x", "y"}), frozenset({"x"}))
+        assert verdict.witness.note == "refines:lexi->biposs"
+        assert replay_witness(verdict, u)
+        swapped = Witness(profiles=verdict.witness.profiles[::-1])
+        reversed_verdict = AuditVerdict(verdict.check, Rule.BIPOSS, False, swapped)
+        assert not replay_witness(reversed_verdict, u)
+
     def test_strictness_witness_found(self, luka):
         # the coarse rule ties the Luka options, the fine one decides
         witness = find_strictness_witness(Rule.BIPOSS, Rule.DISCRI, luka.universe)
@@ -258,3 +273,26 @@ class TestWitnessReplayGallery:
                         assert replay_witness(verdict, u), (rule, axiom, u)
                         count += 1
         assert count > 50  # the sweep genuinely exercises failures
+
+
+class TestCheckRegistry:
+    def test_every_emitted_check_has_one_entry_and_replays(self):
+        u = make_universe(3, [("x", "pro", 2), ("y", "con", 2), ("u", "pro", 1)])
+        ctx = AuditContext(u)
+        verdicts = list(proposition_checks(u, context=ctx).values())
+        verdicts += encoding_equivalence(u, context=ctx).values()
+        for rule in Rule:
+            verdicts += theorem1_bundle(rule, u, context=ctx).checks
+            verdicts += theorem2_bundle(rule, u, context=ctx).checks
+            verdicts += relation_properties(rule, u, context=ctx).values()
+            verdicts += independence_corollaries(rule, u, context=ctx).values()
+        registered = [check.name for check in CHECKS.values()]
+        failures = 0
+        for verdict in verdicts:
+            assert registered.count(verdict.check) == 1, verdict.check
+            if not verdict.holds:
+                assert replay_witness(verdict, u), verdict
+                failures += 1
+        assert failures > 10
+        assert {v.check for v in verdicts} >= {"reflexive", "sym_transitive",
+                                               "refines_biposs", "unbiased_ground"}

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from proscons import fixture_path, load_fixture, parse_problem, serialize_problem
 from proscons.cli import main
 
@@ -47,6 +49,17 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "nowhere.json")
         assert code == 1
         assert "no such file" in err
+
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out.splitlines() == [f"ParseError: {path}: not UTF-8 text "
+                                    "(invalid start byte at byte 0)"]
+        code, out, err = run(capsys, "compare", str(path), "a", "b")
+        assert code == 1
+        assert out == "" and len(err.splitlines()) == 1 and "not UTF-8" in err
 
 
 class TestCompare:
@@ -185,6 +198,30 @@ class TestAudit:
         assert code == 0
         assert not payload["results"][0]["holds"]
         assert payload["results"][0]["witness"] is not None
+
+    def test_axiom_sweep_text_prints_each_verdict_once(self, capsys):
+        code, out, _ = run(
+            capsys, "audit", "--generate", "|X|=3,|L|=3",
+            "--axiom", "prefindependence", "--rule", "biposs",
+        )
+        assert code == 0
+        assert out == "prefindependence   biposs   FAIL  witness: {}, {p1b}, {p1a}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("|X|=3,|L|=1", "--bundle", "theorem1", "--rule", "biposs"),
+            ("|X|=7,|L|=2", "--bundle", "theorem1", "--rule", "pareto"),
+            ("|X|=0,|L|=3", "--bundle", "theorem1", "--rule", "biposs"),
+            ("|X|=-2,|L|=3", "--axiom", "ca", "--expect", "holds"),
+            ("|X|=0,|L|=3", "--bundle", "propositions"),
+        ],
+    )
+    def test_sweep_refuses_empty_or_over_bound_range(self, capsys, argv):
+        code, out, err = run(capsys, "audit", "--generate", *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_trivial_universe_hard_error(self, capsys, tmp_path):
         doc = {

@@ -17,7 +17,6 @@ from proscons import (
     UnknownLevelError,
     ascii_name,
     duplicate_both_polarity,
-    lambda_section,
     om,
     validate_universe,
 )
@@ -126,32 +125,32 @@ class TestOrderOfMagnitude:
 
 class TestSections:
     def test_luc_top_level_section(self, luc):
-        full, pos, neg = lambda_section(luc.options["a"], 2)
+        full, pos, neg = luc.options["a"].section(2)
         assert full == {"landscape⁺⁺", "airline⁻⁻", "price⁻⁻"}
         assert pos == {"landscape⁺⁺"}
         assert neg == {"airline⁻⁻", "price⁻⁻"}
 
     def test_luc_option_a_has_no_weak_section(self, luc):
-        assert lambda_section(luc.options["a"], 1) == (frozenset(), frozenset(), frozenset())
+        assert luc.options["a"].section(1) == (frozenset(), frozenset(), frozenset())
 
     def test_null_section_holds_only_nulls(self):
         u = make_universe(2, [("x", "pro", 0), ("y", "pro", 1)])
         p = u.option({"x", "y"})
-        full, pos, neg = lambda_section(p, 0)
+        full, pos, neg = p.section(0)
         assert full == {"x"} and pos == frozenset() and neg == frozenset()
 
     def test_sections_partition_non_null_members(self, luc):
         for profile in luc.options.values():
             seen = set()
             for level in range(1, len(luc.universe.scale)):
-                full, _, _ = lambda_section(profile, level)
+                full, _, _ = profile.section(level)
                 assert not (seen & full)
                 seen |= full
             assert seen == profile.members - luc.universe.nulls
 
     def test_level_outside_scale(self, luc):
         with pytest.raises(UnknownLevelError):
-            lambda_section(luc.options["a"], 9)
+            luc.options["a"].section(9)
 
 
 class TestProfiles:

@@ -91,6 +91,29 @@ def test_validate_document_flags_parse_errors():
     assert report.codes() == ("ParseError",)
 
 
+def test_validate_document_collects_what_parse_problem_stops_at():
+    doc = {
+        "scale": ["zero", "one"],
+        "arguments": [
+            {"name": "pool", "polarity": "pro", "level": "one"},
+            {"name": "pool", "polarity": "con", "level": "one"},
+        ],
+        "options": {"a": ["helipad"], "b": "pool"},
+    }
+    report = validate_document(doc)
+    assert report.codes() == ("DuplicateName", "ParseError", "ParseError")
+    with pytest.raises(ProblemFormatError) as caught:
+        parse_problem(doc)
+    assert str(caught.value) == report.violations[0].message
+
+
+def test_load_problem_not_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ProblemFormatError, match="not UTF-8"):
+        load_problem(path)
+
+
 def test_load_problem_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
