@@ -22,14 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import (
-    DecisionUniverse,
-    Outcome,
-    TrivialUniverseError,
-)
+from ..core import DecisionUniverse, Outcome
 from ..rules import Rule, compare, ground_relation
-from .matrices import AuditContext
-from .space import PAIRWISE_BOUND, TUPLE_BOUND, guard_size
+from .matrices import AuditContext, admit
+from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
 
@@ -98,22 +94,13 @@ class AuditVerdict:
         return f"{self.check:<18} {self.rule.value:<8} {status}{extra}"
 
 
-def audit_context(
-    universe: DecisionUniverse, context: AuditContext | None, bound: int
-) -> AuditContext:
-    """The shared context for a universe, after refusing trivial or over-bound ones."""
-    if universe.is_trivial:
-        raise TrivialUniverseError("audits require a non-trivial universe")
-    guard_size(universe, bound)
-    return context if context is not None else AuditContext(universe)
-
-
 @dataclass(frozen=True)
 class Check:
     """One named audit check, declared once.
 
     ``sweep(context, rule)`` quantifies over the universe's profiles with
     the relation matrices and returns the first witness, or ``None``;
+    sweeps name a witness's profile masks through ``_witness``.
     ``replay(rule, universe, witness)`` re-checks a witness through the
     scalar comparison functions only.  ``bound`` is the largest universe
     the sweep may enumerate.
@@ -132,7 +119,9 @@ class Check:
         context: AuditContext | None = None,
     ) -> AuditVerdict:
         """Run the sweep on one universe; trivial or over-bound ones are refused."""
-        witness = self.sweep(audit_context(universe, context, self.bound), rule)
+        admit(universe, self.bound)
+        ctx = context if context is not None else AuditContext(universe)
+        witness = self.sweep(ctx, rule)
         return AuditVerdict(self.name, rule, witness is None, witness)
 
 
@@ -145,13 +134,15 @@ def _first(viol: np.ndarray):
     return tuple(int(v) for v in idx[0]) if idx.size else None
 
 
+def _witness(ctx: AuditContext, *masks, args: tuple[str, ...] = (), note: str = "") -> Witness:
+    """Witness naming each profile mask, in order, by its member names."""
+    return Witness(tuple(ctx.space.members(int(m)) for m in masks), args, note)
+
+
 def _pair_witness(ctx: AuditContext, viol: np.ndarray, note: str = "") -> Witness | None:
     """Witness of the first violating (A, B) pair of a profile-pair matrix."""
     hit = _first(viol)
-    if hit is None:
-        return None
-    a, b = hit
-    return Witness(profiles=(ctx.space.members(a), ctx.space.members(b)), note=note)
+    return None if hit is None else _witness(ctx, *hit, note=note)
 
 
 def _check_ca(ctx: AuditContext, rule: Rule):
@@ -177,10 +168,7 @@ def _check_sqc(ctx: AuditContext, rule: Rule):
         viol = (rel.weak != with_rows) | (rel.weak != with_cols)
         hit = _first(viol)
         if hit:
-            a, b = hit
-            return Witness(
-                profiles=(space.members(a), space.members(b)), args=(name,)
-            )
+            return _witness(ctx, *hit, args=(name,))
     return None
 
 
@@ -203,14 +191,7 @@ def _monotony(ctx, rule, *, positive: bool):
         hit = _first(~ok)
         if hit:
             k, ci, cj = hit
-            return Witness(
-                profiles=(
-                    space.members(int(a[k])),
-                    space.members(int(b[k])),
-                    space.members(int(subs[ci])),
-                    space.members(int(subs[cj])),
-                )
-            )
+            return _witness(ctx, a[k], b[k], subs[ci], subs[cj])
     return None
 
 
@@ -228,9 +209,7 @@ def _check_nontriviality(ctx, rule):
     rel = ctx.rel(rule)
     space = ctx.space
     if not rel.strict[space.pos_mask, space.neg_mask]:
-        return Witness(
-            profiles=(space.members(space.pos_mask), space.members(space.neg_mask))
-        )
+        return _witness(ctx, space.pos_mask, space.neg_mask)
     return None
 
 
@@ -257,10 +236,7 @@ def _check_xmonotony(ctx, rule):
             hit = _first(v1 | v2 | v3 | v4)
             if hit:
                 ai, b = hit
-                return Witness(
-                    profiles=(space.members(int(free[ai])), space.members(b)),
-                    args=(x_name, xp_name),
-                )
+                return _witness(ctx, free[ai], b, args=(x_name, xp_name))
     return None
 
 
@@ -293,13 +269,7 @@ def _check_neg(ctx, rule):
         hit = _first(sa[:, None] & sa[None, :] & ~row[union])
         if hit:
             bi, cj = hit
-            return Witness(
-                profiles=(
-                    space.members(int(a)),
-                    space.members(int(subs[bi])),
-                    space.members(int(subs[cj])),
-                )
-            )
+            return _witness(ctx, a, subs[bi], subs[cj])
     return None
 
 
@@ -315,22 +285,12 @@ def _check_clo(ctx, rule):
             hit = _first(ya[:, None] & ya[None, :] & ~sym_row[union])
             if hit:
                 bi, cj = hit
-                return Witness(
-                    profiles=(
-                        space.members(int(a)),
-                        space.members(int(subs[bi])),
-                        space.members(int(subs[cj])),
-                    ),
-                    note="union",
-                )
+                return _witness(ctx, a, subs[bi], subs[cj], note="union")
     absorb = rel.weak[np.ix_(subs, subs)] & ~rel.sym[subs[:, None], union]
     hit = _first(absorb)
     if hit:
         bi, cj = hit
-        return Witness(
-            profiles=(space.members(int(subs[bi])), space.members(int(subs[cj]))),
-            note="absorb",
-        )
+        return _witness(ctx, subs[bi], subs[cj], note="absorb")
     return None
 
 
@@ -338,7 +298,6 @@ def _combination(ctx, rule, *, strict_parts: bool):
     # The two union operands commute, so only ordered pair-of-pairs (i <= j)
     # need checking; the row-major-first violation always lies there.
     rel = ctx.rel(rule)
-    space = ctx.space
     base = rel.strict if strict_parts else rel.weak
     pairs = np.argwhere(base).astype(np.int32)
     a, b = pairs[:, 0], pairs[:, 1]
@@ -353,14 +312,7 @@ def _combination(ctx, rule, *, strict_parts: bool):
             i, j = hit
             i += start
             j += start
-            return Witness(
-                profiles=(
-                    space.members(int(a[i])),
-                    space.members(int(b[i])),
-                    space.members(int(a[j])),
-                    space.members(int(b[j])),
-                )
-            )
+            return _witness(ctx, a[i], b[i], a[j], b[j])
     return None
 
 
@@ -377,7 +329,7 @@ def _efficiency(ctx, rule, *, positive: bool):
         hit = _first(viol)
         if hit:
             (bi,) = hit
-            return Witness(profiles=(space.members(a), space.members(int(subs[bi]))))
+            return _witness(ctx, a, subs[bi])
     return None
 
 
@@ -392,13 +344,7 @@ def _check_prefindependence(ctx, rule):
         hit = _first(plain != shifted)
         if hit:
             ai, bj = hit
-            return Witness(
-                profiles=(
-                    space.members(int(rest[ai])),
-                    space.members(int(rest[bj])),
-                    space.members(c),
-                )
-            )
+            return _witness(ctx, rest[ai], rest[bj], c)
     return None
 
 
@@ -408,25 +354,17 @@ def _check_completeness(ctx, rule):
 
 def _transitive_violation(ctx, rule, *, part: str):
     # ``part`` names the relation tested: "weak", "strict" or "sym".
-    space = ctx.space
     base = getattr(ctx.rel(rule), part)
     reach = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
     if not (reach & ~base).any():
         return None
     # Lexicographically first (A, B, C) with base[A,B], base[B,C], not base[A,C].
-    for a in range(space.size):
+    for a in range(ctx.space.size):
         row = base[a]
         for b in np.nonzero(row)[0]:
             bad = base[b] & ~row
             if bad.any():
-                c = int(np.argmax(bad))
-                return Witness(
-                    profiles=(
-                        space.members(a),
-                        space.members(int(b)),
-                        space.members(c),
-                    )
-                )
+                return _witness(ctx, a, b, np.argmax(bad))
     return None
 
 
@@ -457,14 +395,7 @@ def _check_anonymity(ctx, rule):
         hit = _first(left | right)
         if hit:
             ai, b = hit
-            return Witness(
-                profiles=(
-                    space.members(int(free[ai])),
-                    space.members(b),
-                    space.members(int(c)),
-                    space.members(int(d)),
-                )
-            )
+            return _witness(ctx, free[ai], b, c, d)
     return None
 
 

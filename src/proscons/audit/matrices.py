@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import DecisionUniverse, Outcome
+from ..core import DecisionUniverse, TrivialUniverseError
 from ..encodings import default_base
 from ..rules import Rule
-from .space import ProfileSpace
+from .space import PAIRWISE_BOUND, ProfileSpace, UniverseTooLargeError, guard_size
 
 _ROW_BLOCK = 1024  # keeps intermediate index arrays small on larger spaces
 
@@ -25,9 +25,6 @@ class RelationSet:
         self.strict = weak & ~weak.T
         self.sym = weak & weak.T
         self.incomp = ~weak & ~weak.T
-
-    def outcome(self, i: int, j: int) -> Outcome:
-        return Outcome.from_weak(bool(self.weak[i, j]), bool(self.weak[j, i]))
 
 
 def _pareto_weak(space: ProfileSpace) -> np.ndarray:
@@ -132,30 +129,33 @@ def weak_matrix(space: ProfileSpace, rule: Rule) -> np.ndarray:
 # Capacity-route matrices (independent of the count-scanning builders)
 # ---------------------------------------------------------------------------
 
-def capacity_values(space: ProfileSpace, base: int | None = None):
-    """Per-profile positive and negative capacity values as int64 arrays."""
-    if base is None:
-        base = default_base(space.universe)
-    num_levels = space.pos_counts.shape[1]
-    weights = np.array(
-        [0] + [base**i for i in range(1, num_levels)], dtype=np.int64
-    )
-    top = int(weights[-1]) if num_levels > 1 else 0
-    if top * space.n >= 2**62:
-        raise OverflowError("capacity sweep would overflow int64; use scalar route")
+def capacity_values(space: ProfileSpace):
+    """Per-profile positive and negative capacity values as int64 arrays.
+
+    A universe whose capacity sums could pass the int64 range is refused
+    before any array is built; the scalar encodings have no such limit.
+    """
+    base = default_base(space.universe)
+    top_level = space.pos_counts.shape[1] - 1
+    if base**top_level * space.n >= 2**62:
+        raise UniverseTooLargeError(
+            f"capacity weights up to {base}**{top_level} over {space.n} arguments "
+            "overflow the int64 matrix route"
+        )
+    weights = np.array([0] + [base**i for i in range(1, top_level + 1)], dtype=np.int64)
     spos = (space.pos_counts.astype(np.int64) * weights).sum(axis=1)
     sneg = (space.neg_counts.astype(np.int64) * weights).sum(axis=1)
     return spos, sneg, base
 
 
-def np_weak_matrix(space: ProfileSpace, base: int | None = None) -> np.ndarray:
+def np_weak_matrix(space: ProfileSpace) -> np.ndarray:
     """Weak matrix of the net-predisposition comparison."""
-    spos, sneg, _ = capacity_values(space, base)
+    spos, sneg, _ = capacity_values(space)
     np_values = spos - sneg
     return np_values[:, None] >= np_values[None, :]
 
 
-def capacity_bilexi_weak_matrix(space: ProfileSpace, base: int | None = None) -> np.ndarray:
+def capacity_bilexi_weak_matrix(space: ProfileSpace) -> np.ndarray:
     """Weak matrix of the capacity route to the two-ledger levelwise rule.
 
     The leading balanced digit of each capacity difference marks the top
@@ -163,7 +163,7 @@ def capacity_bilexi_weak_matrix(space: ProfileSpace, base: int | None = None) ->
     leading levels may speak, and the pro/con verdicts there are paired
     componentwise.
     """
-    spos, sneg, base = capacity_values(space, base)
+    spos, sneg, base = capacity_values(space)
     num_levels = space.pos_counts.shape[1]
     thresholds = np.array([base**i for i in range(1, num_levels)], dtype=np.int64)
 
@@ -183,10 +183,25 @@ def capacity_bilexi_weak_matrix(space: ProfileSpace, base: int | None = None) ->
 # Shared per-universe cache
 # ---------------------------------------------------------------------------
 
+def admit(universe: DecisionUniverse, bound: int) -> None:
+    """Refuse a universe the audits may not enumerate: trivial, or over ``bound``."""
+    if universe.is_trivial:
+        raise TrivialUniverseError(
+            "every argument has null importance; comparisons degenerate"
+        )
+    guard_size(universe, bound)
+
+
 class AuditContext:
-    """Profile space plus lazily built relation matrices for one universe."""
+    """Profile space plus lazily built relation matrices for one universe.
+
+    A trivial universe, or one over ``PAIRWISE_BOUND``, is refused before
+    its profile space is built; checks with a tighter bound ``admit`` the
+    universe at that bound first.
+    """
 
     def __init__(self, universe: DecisionUniverse):
+        admit(universe, PAIRWISE_BOUND)
         self.universe = universe
         self.space = ProfileSpace(universe)
         self._relations: dict[Rule, RelationSet] = {}

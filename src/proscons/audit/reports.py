@@ -34,10 +34,11 @@ from .axioms import (
     _sym,
     _transitive_violation,
     _weak,
-    audit_context,
+    _witness,
 )
 from .matrices import (
     AuditContext,
+    admit,
     capacity_bilexi_weak_matrix,
     impl_cases_weak,
     np_weak_matrix,
@@ -61,7 +62,7 @@ def _check_reflexive(ctx, rule):
     diagonal = ctx.rel(rule).weak.diagonal()
     if diagonal.all():
         return None
-    return Witness(profiles=(ctx.space.members(int(np.argmin(diagonal))),))
+    return _witness(ctx, np.argmin(diagonal))
 
 
 def _replay_reflexive(rule, u, w):
@@ -130,7 +131,7 @@ def find_strictness_witness(
     context: AuditContext | None = None,
 ) -> Witness | None:
     """First pair the coarse rule leaves unresolved but the fine rule decides."""
-    ctx = audit_context(universe, context, PAIRWISE_BOUND)
+    ctx = context if context is not None else AuditContext(universe)
     return _pair_witness(ctx, ctx.rel(fine).strict & ~ctx.rel(coarse).strict)
 
 
@@ -183,13 +184,7 @@ def _check_add_indifferent_set(ctx, rule):
         hit = _first(left | right)
         if hit:
             ai, b = hit
-            return Witness(
-                profiles=(
-                    space.members(int(free[ai])),
-                    space.members(b),
-                    space.members(c),
-                )
-            )
+            return _witness(ctx, free[ai], b, c)
     return None
 
 
@@ -206,14 +201,7 @@ def _check_swap_indifferent_sets(ctx, rule):
         hit = _first(plain != swapped)
         if hit:
             ai, bj = hit
-            return Witness(
-                profiles=(
-                    space.members(int(free[ai])),
-                    space.members(int(free[bj])),
-                    space.members(int(c)),
-                    space.members(int(d)),
-                )
-            )
+            return _witness(ctx, free[ai], free[bj], c, d)
     return None
 
 
@@ -235,13 +223,7 @@ def _check_swap_indifferent_singletons(ctx, rule):
             hit = _first(plain != swapped)
             if hit:
                 ai, bj = hit
-                return Witness(
-                    profiles=(
-                        space.members(int(rows[ai])),
-                        space.members(int(cols[bj])),
-                    ),
-                    args=(x_name, y_name),
-                )
+                return _witness(ctx, rows[ai], cols[bj], args=(x_name, y_name))
     return None
 
 
@@ -412,7 +394,8 @@ def _run(
     The universe is held to the tightest bound among the planned checks
     before any of them runs; ``stop`` ends the run at the first failure.
     """
-    ctx = audit_context(universe, context, _tightest(check for _, check, _ in plan))
+    admit(universe, _tightest(check for _, check, _ in plan))
+    ctx = context if context is not None else AuditContext(universe)
     out: dict[str, AuditVerdict] = {}
     for key, check, rule in plan:
         out[key] = verdict = CHECKS[check].verdict(rule, universe, context=ctx)

@@ -56,7 +56,6 @@ class ProfileSpace:
         is_con = np.array(
             [a.polarity is Polarity.CON and not a.is_null for a in args], dtype=bool
         )
-        self.arg_levels = level
 
         self.pos_mask = _mask_of_flags(is_pro)
         self.neg_mask = _mask_of_flags(is_con)
@@ -90,12 +89,6 @@ class ProfileSpace:
 
     def profile(self, mask: int) -> OptionProfile:
         return self.universe.option(self.members(mask))
-
-    def mask_of(self, members) -> int:
-        mask = 0
-        for name in members:
-            mask |= 1 << self.names.index(name)
-        return mask
 
     def arg_bit(self, name: str) -> int:
         return 1 << self.names.index(name)
@@ -144,7 +137,6 @@ def iter_universes(
     num_levels: int,
     *,
     min_args: int = 1,
-    include_nulls: bool = True,
 ) -> Iterator[DecisionUniverse]:
     """All valid universes up to the given size, deduplicated up to renaming.
 
@@ -158,9 +150,7 @@ def iter_universes(
         raise ValueError("need at least two levels (null plus one)")
     scale = ImportanceScale(tuple(f"l{i}" for i in range(num_levels)))
 
-    classes: list[tuple[str, Polarity, int]] = []
-    if include_nulls:
-        classes.append(("z0", Polarity.PRO, 0))
+    classes: list[tuple[str, Polarity, int]] = [("z0", Polarity.PRO, 0)]
     for level in range(1, num_levels):
         classes.append((f"p{level}", Polarity.PRO, level))
     for level in range(1, num_levels):

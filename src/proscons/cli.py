@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .core import (
-    Outcome,
-    ProblemError,
-    TrivialUniverseError,
-    ascii_name,
-    validate_universe,
-)
+from .core import Outcome, ProblemError, ascii_name
 from .encodings import (
     BigSteppedCapacity,
     complete_polar_opposites,
@@ -37,7 +31,6 @@ from .rules import Rule, compare
 from .audit import (
     BUNDLES,
     Axiom,
-    AuditContext,
     AuditVerdict,
     check_axiom,
     proposition_checks,
@@ -298,13 +291,6 @@ def _parse_generate(bounds: str) -> tuple[int, int]:
     return max_args, levels
 
 
-def _audit_universe(problem: Problem):
-    report = validate_universe(problem.universe)
-    if not report.ok:
-        raise TrivialUniverseError("; ".join(v.message for v in report.violations))
-    return problem.universe
-
-
 def _print_verdicts(args, verdicts, universe=None) -> None:
     payload = {"checks": [_verdict_json(v) for v in verdicts]}
     if universe is not None:
@@ -317,11 +303,10 @@ def _print_verdicts(args, verdicts, universe=None) -> None:
 
 
 def _audit_bundle_on_universe(args, bundle, rules, universe) -> int:
-    ctx = AuditContext(universe)
     failed_expected = False
     verdicts = []
     for rule in rules:
-        report = bundle(rule, universe, context=ctx)
+        report = bundle(rule, universe)
         verdicts.extend(report.checks)
         if rule is bundle.designated and not report.all_hold:
             failed_expected = True
@@ -419,8 +404,7 @@ def cmd_audit(args) -> int:
     if args.generate is not None:
         return _audit_sweep(args, rules)
 
-    problem = _load(args.path)
-    universe = _audit_universe(problem)
+    universe = _load(args.path).universe
     if args.bundle == "propositions":
         checks = proposition_checks(universe)
         return _print_propositions(
@@ -430,8 +414,7 @@ def cmd_audit(args) -> int:
         return _audit_bundle_on_universe(args, BUNDLES[args.bundle], rules, universe)
 
     axiom = Axiom(args.axiom)
-    ctx = AuditContext(universe)
-    verdicts = [check_axiom(axiom, rule, universe, context=ctx) for rule in rules]
+    verdicts = [check_axiom(axiom, rule, universe) for rule in rules]
     _print_verdicts(args, verdicts, universe)
     return _expectation_exit(args, verdicts)
 

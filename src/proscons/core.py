@@ -111,14 +111,6 @@ class Outcome(Enum):
     def first_weak(self) -> bool:
         return self in (Outcome.PREFER_FIRST, Outcome.INDIFFERENT)
 
-    @property
-    def second_weak(self) -> bool:
-        return self in (Outcome.PREFER_SECOND, Outcome.INDIFFERENT)
-
-    @property
-    def is_strict(self) -> bool:
-        return self in (Outcome.PREFER_FIRST, Outcome.PREFER_SECOND)
-
 
 # ---------------------------------------------------------------------------
 # Scale, arguments, universe
@@ -366,10 +358,6 @@ class OptionProfile:
     def neg(self) -> frozenset[str]:
         return self.members & self.universe.cons
 
-    @cached_property
-    def null(self) -> frozenset[str]:
-        return self.members & self.universe.nulls
-
     # -- orders of magnitude --------------------------------------------
 
     @cached_property
@@ -379,10 +367,6 @@ class OptionProfile:
     @cached_property
     def om_neg(self) -> int:
         return om(self.universe, self.neg)
-
-    @cached_property
-    def om_all(self) -> int:
-        return om(self.universe, self.members)
 
     # -- per-level sections ----------------------------------------------
 

@@ -42,6 +42,14 @@ class NonInjectiveImportanceError(ProblemError):
     """Cue scanning needs pairwise distinct importance levels."""
 
 
+class CapacityBaseError(ProblemError, ValueError):
+    """A capacity base below 2, which cannot separate the levels."""
+
+
+class CueCompletionError(ProblemError, ValueError):
+    """Options that cue completion cannot turn into a cue-scanning instance."""
+
+
 # ---------------------------------------------------------------------------
 # Big-stepped capacities and net predisposition
 # ---------------------------------------------------------------------------
@@ -72,7 +80,7 @@ class BigSteppedCapacity:
 
     def __post_init__(self):
         if self.base < 2:
-            raise ValueError("capacity base must be at least 2")
+            raise CapacityBaseError("capacity base must be at least 2")
 
     @classmethod
     def for_universe(cls, universe: DecisionUniverse, base: int | None = None):
@@ -222,11 +230,11 @@ def complete_polar_opposites(
     named = {name: frozenset(members) for name, members in options.items()}
     involved = sorted(frozenset().union(*named.values()) if named else frozenset())
     if not involved:
-        raise ValueError("cue completion needs at least one featured argument")
+        raise CueCompletionError("cue completion needs at least one featured argument")
 
     for cue in involved:
         if cue not in universe.by_name:
-            raise ValueError(f"option references unknown argument {cue!r}")
+            raise CueCompletionError(f"option references unknown argument {cue!r}")
 
     levels = [universe.level_of(c) for c in involved]
     if len(set(levels)) != len(levels):
@@ -236,7 +244,7 @@ def complete_polar_opposites(
 
     for cue in involved:
         if universe.by_name[cue].polarity is not Polarity.PRO:
-            raise ValueError(
+            raise CueCompletionError(
                 f"argument {cue!r} never appears as a pro; cue completion "
                 "expects options to list the cues they possess"
             )

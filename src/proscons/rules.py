@@ -215,14 +215,6 @@ def compare(rule: Rule, a: OptionProfile, b: OptionProfile) -> Outcome:
     return COMPARATORS[rule](a, b)
 
 
-def weakly_prefers(rule: Rule, a: OptionProfile, b: OptionProfile) -> bool:
-    return compare(rule, a, b).first_weak
-
-
-def strictly_prefers(rule: Rule, a: OptionProfile, b: OptionProfile) -> bool:
-    return compare(rule, a, b) is Outcome.PREFER_FIRST
-
-
 # ---------------------------------------------------------------------------
 # Ground relation
 # ---------------------------------------------------------------------------
@@ -248,11 +240,6 @@ class GroundReport:
 
     def outcome(self, first: str, second: str) -> Outcome:
         return self.outcomes[self.items.index(first)][self.items.index(second)]
-
-    def render(self) -> str:
-        if self.classes is None:
-            return "<not a weak order>"
-        return " > ".join(" ~ ".join(group) for group in self.classes)
 
 
 def ground_relation(rule: Rule, universe: DecisionUniverse) -> GroundReport:

@@ -110,6 +110,21 @@ class TestCheckAxiom:
         with pytest.raises(TrivialUniverseError):
             check_axiom(Axiom.CA, Rule.BIPOSS, u)
 
+    @pytest.mark.parametrize(
+        "specs, error",
+        [
+            ([("z", "pro", 0)], TrivialUniverseError),
+            ([(f"x{i}", "pro", 1) for i in range(13)], UniverseTooLargeError),
+        ],
+    )
+    def test_context_refuses_before_enumeration(self, monkeypatch, specs, error):
+        def no_enumeration(universe):
+            raise AssertionError("a profile space was built")
+
+        monkeypatch.setattr("proscons.audit.matrices.ProfileSpace", no_enumeration)
+        with pytest.raises(error):
+            AuditContext(make_universe(2, specs))
+
     def test_tuple_axioms_have_tighter_bound(self):
         u = make_universe(2, [(f"x{i}", "pro", 1) for i in range(7)])
         with pytest.raises(UniverseTooLargeError):
@@ -240,6 +255,12 @@ class TestEncodingEquivalence:
     def test_holds_on_small_sweep(self):
         for u in iter_universes(4, 3):
             assert all(v.holds for v in encoding_equivalence(u).values())
+
+    def test_int64_overflow_refused(self):
+        # Base 13 weights reach 13**18, far past int64, on 6 arguments and 19 levels.
+        u = make_universe(19, [(f"x{i}", "pro", 18) for i in range(6)])
+        with pytest.raises(UniverseTooLargeError, match="int64"):
+            encoding_equivalence(u)
 
 
 class TestCorollaries:

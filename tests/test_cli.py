@@ -1,10 +1,15 @@
 """Command-line behaviour: commands, exit codes, JSON mode."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proscons import fixture_path, load_fixture, parse_problem, serialize_problem
+from proscons.audit import Axiom
 from proscons.cli import main
 
 
@@ -17,6 +22,27 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def write_doc(tmp_path, num_args, num_levels, options=None):
+    """Problem file of alternating con/pro arguments cycling over the positive levels."""
+    scale = [f"l{i}" for i in range(num_levels)]
+    arguments = [
+        {"name": f"x{i}", "polarity": "pro" if i % 2 else "con",
+         "level": scale[1 + i % (num_levels - 1)]}
+        for i in range(num_args)
+    ]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(
+        {"scale": scale, "arguments": arguments, "options": options or {"a": ["x0"]}}
+    ))
+    return str(path)
+
+
+def assert_one_line_error(code, out, err, fragment):
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert fragment in err
 
 
 class TestValidate:
@@ -235,6 +261,29 @@ class TestAudit:
         assert code == 1
         assert "null importance" in err
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (("--axiom", "ca"), 12),
+            (("--bundle", "theorem1"), 6),
+            (("--bundle", "propositions"), 6),
+        ],
+    )
+    def test_over_bound_file_refused_before_enumeration(
+        self, capsys, tmp_path, monkeypatch, argv, bound
+    ):
+        def no_enumeration(universe):
+            raise AssertionError("a profile space was built")
+
+        monkeypatch.setattr("proscons.audit.matrices.ProfileSpace", no_enumeration)
+        code, out, err = run(capsys, "audit", write_doc(tmp_path, 13, 3), *argv)
+        assert_one_line_error(code, out, err, f"enumeration bound is {bound}")
+
+    def test_capacity_overflow_refused(self, capsys, tmp_path):
+        path = write_doc(tmp_path, 6, 19)
+        code, out, err = run(capsys, "audit", path, "--bundle", "propositions")
+        assert_one_line_error(code, out, err, "overflow the int64 matrix route")
+
     def test_audit_needs_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "audit", "luc")
         assert code == 1
@@ -271,6 +320,19 @@ class TestTtb:
         assert set(payload["agreement"].values()) == {"PreferFirst"}
 
 
+    @pytest.mark.parametrize(
+        "options, fragment",
+        [
+            ({"a": ["x0"], "b": ["x1"]}, "never appears as a pro"),
+            ({"a": [], "b": []}, "at least one featured argument"),
+        ],
+    )
+    def test_uncompletable_options_are_an_error(self, capsys, tmp_path, options, fragment):
+        path = write_doc(tmp_path, 2, 3, options)
+        code, out, err = run(capsys, "ttb", path, "a", "b")
+        assert_one_line_error(code, out, err, fragment)
+
+
 class TestCapacities:
     def test_luc_table(self, capsys):
         code, payload, _ = run_json(capsys, "capacities", "luc")
@@ -285,6 +347,11 @@ class TestCapacities:
         code, payload, _ = run_json(capsys, "capacities", "luc", "--base", "3")
         assert code == 0
         assert payload["base"] == 3
+
+    @pytest.mark.parametrize("base", ["1", "0", "-3"])
+    def test_base_below_two_is_an_error(self, capsys, base):
+        code, out, err = run(capsys, "capacities", "luc", "--base", base)
+        assert_one_line_error(code, out, err, "capacity base must be at least 2")
 
 
 class TestRankReport:
@@ -318,3 +385,97 @@ class TestRoundTrip:
             json.loads(fixture_path("lucy").read_text(encoding="utf-8"))
         )
         assert direct.universe == via_path.universe
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: random documents and argument vectors
+# ---------------------------------------------------------------------------
+
+NAMES = st.sampled_from(["a", "b", "p", "q", "x0", "q\u207b", "", "both"])
+SCALE = ["zero", "one", "two"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def problems(draw):
+    """A well-formed document of up to four declarations on a three-level scale."""
+    arguments, members = [], []
+    for name in draw(st.lists(st.sampled_from("pqrs"), unique=True, max_size=4)):
+        polarity = draw(st.sampled_from(["pro", "con", "both"]))
+        level = draw(st.sampled_from(SCALE[::-1]))  # null level last: Hypothesis leans first
+        arguments.append({"name": name, "polarity": polarity, "level": level})
+        members += [name + "\u207a", name + "\u207b"] if polarity == "both" else [name]
+    subset = st.lists(st.sampled_from(members), unique=True) if members else st.just([])
+    options = {"a": draw(subset), "b": draw(subset)}
+    return {"scale": SCALE, "arguments": arguments, "options": options}
+
+
+MALFORMED = st.fixed_dictionaries({}, optional={
+    "scale": st.lists(st.sampled_from([*SCALE, "ten", 1, None]), max_size=4) | JSON,
+    "arguments": st.lists(JSON, max_size=3),
+    "options": JSON,
+})
+JUNK = (MALFORMED | JSON).map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=12)
+# Mostly well-formed documents, so that most runs get past parsing.
+DOCUMENTS = st.integers(0, 3).flatmap(
+    lambda k: JUNK if k == 3 else problems().map(lambda doc: json.dumps(doc).encode())
+)
+
+RULES = st.sampled_from(["pareto", "biposs", "impl", "discri", "bilexi", "lexi", "all", "x"])
+GENERATE = st.builds("|X|={},|L|={}".format, st.integers(-1, 3), st.integers(0, 3))
+FLAGS = {  # each subcommand's flags, with a strategy for the value each takes
+    "validate": {},
+    "compare": {"--rule": RULES, "--all": None},
+    "rank": {"--rule": RULES},
+    "audit": {
+        "--rule": RULES,
+        "--axiom": st.sampled_from([a.value for a in Axiom] + ["x"]),
+        "--bundle": st.sampled_from(["theorem1", "theorem2", "propositions", "x"]),
+        "--expect": st.sampled_from(["holds", "fails"]),
+    },
+    "ttb": {},
+    "capacities": {"--base": st.integers(-3, 20).map(str)},
+}
+REQUIRED = {"rank": ["--rule"], "audit": ["--axiom", "--bundle"]}  # one of these, mostly
+
+
+@st.composite
+def argvs(draw, command, path):
+    """An argument vector for one subcommand, mostly well formed."""
+    argv = [command]
+    if command == "audit" and draw(st.booleans()):
+        argv += ["--generate", draw(GENERATE)]
+    elif draw(st.integers(0, 9)) < 9:
+        argv.append(draw(st.sampled_from([path, path, "luka", "missing.json"])))  # path 1 in 2
+    if command in ("compare", "ttb"):
+        argv += draw(st.lists(st.sampled_from(["a", "b", "z"]), min_size=2, max_size=2))
+    options = FLAGS[command]
+    flags = draw(st.lists(st.sampled_from([*options, "--json", "--quiet"]), unique=True))
+    if command in REQUIRED and draw(st.integers(0, 9)) < 9:
+        required = REQUIRED[command]
+        flags = [draw(st.sampled_from(required))] + [f for f in flags if f not in required]
+    for flag in flags:
+        argv.append(flag)
+        if options.get(flag) is not None:
+            argv.append(draw(options[flag]))
+    return argv
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", list(FLAGS))
+    @settings(
+        derandomize=True, deadline=None, max_examples=40,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(document=DOCUMENTS, data=st.data())
+    def test_every_input_exits_0_1_or_2(self, tmp_path, command, document, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(document)
+        argv = data.draw(argvs(command, str(path)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
