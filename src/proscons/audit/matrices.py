@@ -12,7 +12,7 @@ import numpy as np
 from ..core import DecisionUniverse, TrivialUniverseError
 from ..encodings import default_base
 from ..rules import Rule
-from .space import PAIRWISE_BOUND, ProfileSpace, UniverseTooLargeError, guard_size
+from .space import PAIRWISE_BOUND, ProfileSpace, guard_size
 
 _ROW_BLOCK = 1024  # keeps intermediate index arrays small on larger spaces
 
@@ -130,22 +130,17 @@ def weak_matrix(space: ProfileSpace, rule: Rule) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def capacity_values(space: ProfileSpace):
-    """Per-profile positive and negative capacity values as int64 arrays.
+    """Per-profile positive and negative capacity values, and the level weights.
 
-    A universe whose capacity sums could pass the int64 range is refused
-    before any array is built; the scalar encodings have no such limit.
+    All are exact Python integers (``dtype=object``): weights pass int64 on
+    small universes, e.g. ``13**18`` over 6 arguments on 19 levels.
     """
     base = default_base(space.universe)
-    top_level = space.pos_counts.shape[1] - 1
-    if base**top_level * space.n >= 2**62:
-        raise UniverseTooLargeError(
-            f"capacity weights up to {base}**{top_level} over {space.n} arguments "
-            "overflow the int64 matrix route"
-        )
-    weights = np.array([0] + [base**i for i in range(1, top_level + 1)], dtype=np.int64)
-    spos = (space.pos_counts.astype(np.int64) * weights).sum(axis=1)
-    sneg = (space.neg_counts.astype(np.int64) * weights).sum(axis=1)
-    return spos, sneg, base
+    levels = range(1, space.pos_counts.shape[1])
+    weights = np.array([0] + [base**level for level in levels], dtype=object)
+    spos = (space.pos_counts.astype(object) * weights).sum(axis=1)
+    sneg = (space.neg_counts.astype(object) * weights).sum(axis=1)
+    return spos, sneg, weights
 
 
 def np_weak_matrix(space: ProfileSpace) -> np.ndarray:
@@ -163,9 +158,8 @@ def capacity_bilexi_weak_matrix(space: ProfileSpace) -> np.ndarray:
     leading levels may speak, and the pro/con verdicts there are paired
     componentwise.
     """
-    spos, sneg, base = capacity_values(space)
-    num_levels = space.pos_counts.shape[1]
-    thresholds = np.array([base**i for i in range(1, num_levels)], dtype=np.int64)
+    spos, sneg, weights = capacity_values(space)
+    thresholds = weights[1:]
 
     dpos = spos[:, None] - spos[None, :]
     dneg = sneg[:, None] - sneg[None, :]

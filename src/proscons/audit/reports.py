@@ -7,8 +7,8 @@ that singles out the order-of-magnitude rule, and the premise set that
 singles out the signed-count levelwise rule.
 
 Every check a report runs is one :class:`Check` record in ``CHECKS``,
-looked up by the name its verdicts carry; the sweeps over generated
-universes share one driver that refuses empty or over-bound ranges.
+looked up by the name its verdicts carry; a plan of them runs on one
+universe through ``_run`` and on many through ``sweep``.
 """
 
 from __future__ import annotations
@@ -378,12 +378,15 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def _tightest(checks: Iterable[str]) -> int:
-    return min(CHECKS[name].bound for name in checks)
+Plan = tuple[tuple[str, str, Rule], ...]  # (key, check, rule); the key names the verdict
+
+
+def _tightest(plan: Plan) -> int:
+    return min(CHECKS[check].bound for _, check, _ in plan)
 
 
 def _run(
-    plan: tuple[tuple[str, str, Rule], ...],
+    plan: Plan,
     universe: DecisionUniverse,
     context: AuditContext | None,
     *,
@@ -394,7 +397,7 @@ def _run(
     The universe is held to the tightest bound among the planned checks
     before any of them runs; ``stop`` ends the run at the first failure.
     """
-    admit(universe, _tightest(check for _, check, _ in plan))
+    admit(universe, _tightest(plan))
     ctx = context if context is not None else AuditContext(universe)
     out: dict[str, AuditVerdict] = {}
     for key, check, rule in plan:
@@ -455,9 +458,12 @@ class Bundle:
         context: AuditContext | None = None,
         stop_at_first_failure: bool = False,
     ) -> BundleReport:
-        plan = tuple((check, check, rule) for check in self.checks)
-        verdicts = _run(plan, universe, context, stop=stop_at_first_failure)
+        verdicts = _run(self.plan(rule), universe, context, stop=stop_at_first_failure)
         return BundleReport(self.name, rule, tuple(verdicts.values()))
+
+    def plan(self, rule: Rule) -> Plan:
+        """The bundle's checks on one rule, each keyed by its own name."""
+        return tuple((check, check, rule) for check in self.checks)
 
 
 THEOREM1_AXIOMS = (
@@ -500,7 +506,7 @@ REFINEMENT_CHAIN = (
     (Rule.BILEXI, Rule.LEXI),
 )
 
-_PROPOSITIONS = (
+PROPOSITIONS = (
     ("biposs_complete", "completeness", Rule.BIPOSS),
     ("biposs_quasitransitive", "quasitransitivity", Rule.BIPOSS),
     ("impl_transitive", "transitivity", Rule.IMPL),
@@ -525,11 +531,11 @@ def proposition_checks(
     the encoding equivalences, and the exchange corollaries for the
     signed-count rule.
     """
-    return _run(_PROPOSITIONS, universe, context)
+    return _run(PROPOSITIONS, universe, context)
 
 
 # ---------------------------------------------------------------------------
-# Sweep drivers
+# The sweep driver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -538,8 +544,8 @@ class SweepFinding:
     verdict: AuditVerdict
 
 
-def _universes(bound: int, max_args: int, levels: int) -> Iterator[DecisionUniverse]:
-    """The sweep's universes, after refusing a range that is empty or over ``bound``.
+def sweep_range(plan: Plan, max_args: int, levels: int) -> Iterator[DecisionUniverse]:
+    """The range's universes, after refusing one that is empty or over ``plan``'s bound.
 
     A refused range must not pass for a sweep that found nothing.
     """
@@ -549,6 +555,7 @@ def _universes(bound: int, max_args: int, levels: int) -> Iterator[DecisionUnive
         )
     if max_args < 1:
         raise EmptySweepError(f"a sweep up to {max_args} arguments holds no universe")
+    bound = _tightest(plan)
     if max_args > bound:
         raise UniverseTooLargeError(
             f"sweep reaches {max_args} arguments, enumeration bound is {bound}"
@@ -556,20 +563,27 @@ def _universes(bound: int, max_args: int, levels: int) -> Iterator[DecisionUnive
     return iter_universes(max_args, levels)
 
 
-def sweep_axiom(
-    axiom: Axiom,
-    rule: Rule,
+def sweep(
+    plan: Plan,
+    universes: Iterable[DecisionUniverse],
     *,
-    max_args: int,
-    levels: int,
-) -> SweepFinding | None:
-    """First universe (in canonical sweep order) where the axiom fails, if any."""
-    check = AXIOMS[axiom]
-    for universe in _universes(check.bound, max_args, levels):
-        verdict = check.verdict(rule, universe)
-        if not verdict.holds:
-            return SweepFinding(universe, verdict)
-    return None
+    stop: bool = False,
+) -> tuple[int, dict[str, SweepFinding | None]]:
+    """Run a plan on each universe in turn; keep each key's first failure.
+
+    Returns the number of universes examined and, per key in plan order,
+    its first failure in the order of ``universes`` or ``None``.  ``stop``
+    ends the run at the first failure.  A file audit sweeps one universe.
+    """
+    count = 0
+    findings: dict[str, SweepFinding | None] = dict.fromkeys(key for key, _, _ in plan)
+    for count, universe in enumerate(universes, 1):
+        for key, verdict in _run(plan, universe, None, stop=stop).items():
+            if not verdict.holds and findings[key] is None:
+                findings[key] = SweepFinding(universe, verdict)
+        if stop and any(findings.values()):
+            break
+    return count, findings
 
 
 def sweep_bundle(
@@ -580,36 +594,13 @@ def sweep_bundle(
     levels: int,
     expect_all_hold: bool,
 ) -> tuple[bool, SweepFinding | None]:
-    """Run a bundle over every universe in the sweep.
+    """Run a bundle over every universe in the sweep, up to its first failure.
 
-    With ``expect_all_hold`` the sweep succeeds iff no check ever fails
-    (returning the first failure otherwise).  Without it, the sweep plays
-    the differential role: it succeeds iff some check fails somewhere,
-    returning that finding as the witness.
+    With ``expect_all_hold`` the sweep succeeds iff no check ever fails;
+    without it, iff some check fails somewhere (the differential role).
+    The first failure, if any, comes back as the finding.
     """
-    for universe in _universes(_tightest(bundle.checks), max_args, levels):
-        report = bundle(rule, universe, stop_at_first_failure=not expect_all_hold)
-        if not report.all_hold:
-            finding = SweepFinding(universe, report.failures[0])
-            return (not expect_all_hold, finding)
-    return (expect_all_hold, None)
-
-
-def sweep_propositions(
-    *, max_args: int, levels: int
-) -> tuple[int, dict[str, SweepFinding | None]]:
-    """Every proposition check over the sweep.
-
-    Returns the number of universes examined and, per check, its first
-    failure or ``None`` when it held everywhere.
-    """
-    count = 0
-    findings: dict[str, SweepFinding | None] = {}
-    bound = _tightest(check for _, check, _ in _PROPOSITIONS)
-    for universe in _universes(bound, max_args, levels):
-        count += 1
-        for name, verdict in proposition_checks(universe).items():
-            if findings.get(name) is None and not verdict.holds:
-                findings[name] = SweepFinding(universe, verdict)
-            findings.setdefault(name, None)
-    return count, findings
+    plan = bundle.plan(rule)
+    _, findings = sweep(plan, sweep_range(plan, max_args, levels), stop=True)
+    finding = next((f for f in findings.values() if f is not None), None)
+    return (finding is None) == expect_all_hold, finding

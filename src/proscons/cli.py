@@ -30,14 +30,12 @@ from .problem import (
 from .rules import Rule, compare
 from .audit import (
     BUNDLES,
-    Axiom,
+    PROPOSITIONS,
     AuditVerdict,
-    check_axiom,
-    proposition_checks,
+    Axiom,
     replay_witness,
-    sweep_axiom,
-    sweep_bundle,
-    sweep_propositions,
+    sweep,
+    sweep_range,
 )
 
 EXIT_OK = 0
@@ -291,40 +289,25 @@ def _parse_generate(bounds: str) -> tuple[int, int]:
     return max_args, levels
 
 
-def _print_verdicts(args, verdicts, universe=None) -> None:
-    payload = {"checks": [_verdict_json(v) for v in verdicts]}
-    if universe is not None:
-        payload["universe"] = [
-            {"name": ascii_name(a.name), "polarity": a.polarity.value, "level": a.level}
-            for a in universe.arguments
-        ]
-    lines = [v.describe() for v in verdicts]
-    _emit(args, payload, lines)
+def _universe_json(universe):
+    return [
+        {"name": ascii_name(a.name), "polarity": a.polarity.value, "level": a.level}
+        for a in universe.arguments
+    ]
 
 
-def _audit_bundle_on_universe(args, bundle, rules, universe) -> int:
-    failed_expected = False
-    verdicts = []
-    for rule in rules:
-        report = bundle(rule, universe)
-        verdicts.extend(report.checks)
-        if rule is bundle.designated and not report.all_hold:
-            failed_expected = True
-    _print_verdicts(args, verdicts, universe)
-    return EXIT_AUDIT if failed_expected else EXIT_OK
+def _found_in(finding):
+    # A failure found by a sweep names the universe it holds in.
+    return {} if finding is None else {"universe": _universe_json(finding.universe)}
 
 
-def _bundle_sweep_result(bundle, rule, max_args, levels) -> tuple[bool, str]:
-    expect_all = rule is bundle.designated
-    ok, finding = sweep_bundle(
-        bundle, rule, max_args=max_args, levels=levels, expect_all_hold=expect_all
-    )
-    if expect_all:
-        if ok:
-            return ok, "holds on every universe in range"
-        return ok, f"FAILS: {finding.verdict.describe()}"
+def _bundle_sweep_result(designated, finding) -> tuple[bool, str]:
+    if designated:
+        if finding is None:
+            return True, "holds on every universe in range"
+        return False, f"FAILS: {finding.verdict.describe()}"
     if finding is None:
-        return ok, "UNEXPECTEDLY passes the whole bundle in range"
+        return False, "UNEXPECTEDLY passes the whole bundle in range"
     verdict = finding.verdict
     replayed = replay_witness(verdict, finding.universe)
     return replayed, (
@@ -333,65 +316,18 @@ def _bundle_sweep_result(bundle, rule, max_args, levels) -> tuple[bool, str]:
     )
 
 
-def _print_propositions(args, count, failures) -> int:
-    # ``failures`` maps each check to its first failed verdict, or None.
-    lines = []
-    payload = []
-    for name, verdict in failures.items():
-        if verdict is None:
-            lines.append(f"{name:<34} ok")
-        else:
-            lines.append(f"{name:<34} FAIL  {verdict.describe()}")
-        payload.append({"check": name, "ok": verdict is None})
+def _print_propositions(args, count, findings) -> int:
+    lines, payload = [], []
+    for name, finding in findings.items():
+        status = "ok" if finding is None else f"FAIL  {finding.verdict.describe()}"
+        lines.append(f"{name:<34} {status}")
+        witness = _witness_json(finding and finding.verdict.witness)
+        payload.append(
+            {"check": name, "ok": finding is None, "witness": witness, **_found_in(finding)}
+        )
     lines.append(f"({count} universes checked)")
     _emit(args, {"results": payload, "universes": count}, lines)
-    return EXIT_OK if all(v is None for v in failures.values()) else EXIT_AUDIT
-
-
-def _audit_sweep(args, rules) -> int:
-    max_args, levels = _parse_generate(args.generate)
-    if args.bundle == "propositions":
-        count, findings = sweep_propositions(max_args=max_args, levels=levels)
-        failures = {name: f and f.verdict for name, f in findings.items()}
-        return _print_propositions(args, count, failures)
-    if args.bundle is not None:
-        bundle = BUNDLES[args.bundle]
-        lines = []
-        payload = []
-        for rule in rules:
-            ok, detail = _bundle_sweep_result(bundle, rule, max_args, levels)
-            status = "ok" if ok else "FAIL"
-            lines.append(f"{bundle.name:<10} {rule.value:<8} {status}  {detail}")
-            payload.append(
-                {"bundle": bundle.name, "rule": rule.value, "ok": ok, "detail": detail}
-            )
-        _emit(args, {"results": payload}, lines)
-        return EXIT_OK if all(entry["ok"] for entry in payload) else EXIT_AUDIT
-
-    axiom = Axiom(args.axiom)
-    verdicts = []
-    for rule in rules:
-        finding = sweep_axiom(axiom, rule, max_args=max_args, levels=levels)
-        holds = AuditVerdict(axiom.value, rule, True)
-        verdicts.append(finding.verdict if finding else holds)
-    payload = [
-        {
-            "axiom": axiom.value,
-            "rule": v.rule.value,
-            "holds": v.holds,
-            "witness": _witness_json(v.witness),
-        }
-        for v in verdicts
-    ]
-    _emit(args, {"results": payload}, [v.describe() for v in verdicts])
-    return _expectation_exit(args, verdicts)
-
-
-def _expectation_exit(args, verdicts) -> int:
-    expected = args.expect
-    if expected is not None and any((expected == "holds") != v.holds for v in verdicts):
-        return EXIT_AUDIT
-    return EXIT_OK
+    return EXIT_OK if all(f is None for f in findings.values()) else EXIT_AUDIT
 
 
 def cmd_audit(args) -> int:
@@ -401,22 +337,58 @@ def cmd_audit(args) -> int:
         raise ProblemFormatError("audit needs exactly one of --axiom or --bundle")
 
     rules = list(Rule) if args.rule in (None, "all") else [Rule(args.rule)]
-    if args.generate is not None:
-        return _audit_sweep(args, rules)
+    generated = args.generate is not None
+    if generated:
+        max_args, levels = _parse_generate(args.generate)
+    else:
+        universe = _load(args.path).universe
 
-    universe = _load(args.path).universe
+    def run(plan, *, stop):
+        # A file audit sweeps its one universe and reports every verdict.
+        if generated:
+            return sweep(plan, sweep_range(plan, max_args, levels), stop=stop)
+        return sweep(plan, [universe])
+
     if args.bundle == "propositions":
-        checks = proposition_checks(universe)
-        return _print_propositions(
-            args, 1, {name: None if v.holds else v for name, v in checks.items()}
-        )
-    if args.bundle is not None:
-        return _audit_bundle_on_universe(args, BUNDLES[args.bundle], rules, universe)
+        return _print_propositions(args, *run(PROPOSITIONS, stop=False))
 
-    axiom = Axiom(args.axiom)
-    verdicts = [check_axiom(axiom, rule, universe) for rule in rules]
-    _print_verdicts(args, verdicts, universe)
-    return _expectation_exit(args, verdicts)
+    bundle = BUNDLES.get(args.bundle)
+    plans = [bundle.plan(rule) if bundle else ((args.axiom, args.axiom, rule),)
+             for rule in rules]
+    found = [run(plan, stop=True)[1] for plan in plans]
+    if bundle and generated:
+        payload, lines = [], []
+        for rule, findings in zip(rules, found):
+            finding = next((f for f in findings.values() if f is not None), None)
+            ok, detail = _bundle_sweep_result(rule is bundle.designated, finding)
+            lines.append(f"{bundle.name:<10} {rule.value:<8} {'ok' if ok else 'FAIL'}  {detail}")
+            payload.append({"bundle": bundle.name, "rule": rule.value, "ok": ok,
+                            "detail": detail, **_found_in(finding)})
+        _emit(args, {"results": payload}, lines)
+        return EXIT_OK if all(entry["ok"] for entry in payload) else EXIT_AUDIT
+
+    # Each entry's verdict is its first failure, else that it holds.
+    verdicts = [
+        findings[key].verdict if findings[key] else AuditVerdict(check, rule, True)
+        for plan, findings in zip(plans, found)
+        for key, check, rule in plan
+    ]
+    if generated:  # an axiom sweep: one single-entry plan per rule
+        payload = {"results": [
+            {"axiom": v.check, "rule": v.rule.value, "holds": v.holds,
+             "witness": _witness_json(v.witness), **_found_in(findings[v.check])}
+            for v, findings in zip(verdicts, found)
+        ]}
+    else:
+        payload = {"checks": [_verdict_json(v) for v in verdicts],
+                   "universe": _universe_json(universe)}
+    _emit(args, payload, [v.describe() for v in verdicts])
+    if bundle:
+        failed = any(not v.holds for v in verdicts if v.rule is bundle.designated)
+    else:
+        expect = args.expect
+        failed = expect is not None and any((expect == "holds") != v.holds for v in verdicts)
+    return EXIT_AUDIT if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

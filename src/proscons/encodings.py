@@ -168,7 +168,7 @@ def _capacity_bilexi_weak(dpos: int, dneg: int, base: int) -> tuple[bool, bool]:
     return (sp >= 0 and sn <= 0), (sp <= 0 and sn >= 0)
 
 
-def compare_bilexi_np(a: OptionProfile, b: OptionProfile, base: int | None = None) -> Outcome:
+def compare_bilexi_np(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Capacity route to the two-ledger levelwise comparison.
 
     Evaluates the positive and negative capacities of both options and
@@ -182,7 +182,7 @@ def compare_bilexi_np(a: OptionProfile, b: OptionProfile, base: int | None = Non
     levels, and only the higher of the two may speak.
     """
     require_same_universe(a, b)
-    cap = BigSteppedCapacity.for_universe(a.universe, base)
+    cap = BigSteppedCapacity.for_universe(a.universe)
     dpos = cap.of(a.pos) - cap.of(b.pos)
     dneg = cap.of(a.neg) - cap.of(b.neg)
     first, second = _capacity_bilexi_weak(dpos, dneg, cap.base)

@@ -5,6 +5,7 @@ import pytest
 from proscons import Outcome, Rule, TrivialUniverseError, compare
 from proscons.audit import (
     CHECKS,
+    PROPOSITIONS,
     Axiom,
     AuditContext,
     AuditVerdict,
@@ -23,10 +24,12 @@ from proscons.audit import (
     refinement_check,
     relation_properties,
     replay_witness,
+    sweep,
     theorem1_bundle,
     theorem2_bundle,
     weak_matrix,
 )
+from proscons.audit.matrices import capacity_values
 from conftest import make_universe
 
 
@@ -256,11 +259,12 @@ class TestEncodingEquivalence:
         for u in iter_universes(4, 3):
             assert all(v.holds for v in encoding_equivalence(u).values())
 
-    def test_int64_overflow_refused(self):
-        # Base 13 weights reach 13**18, far past int64, on 6 arguments and 19 levels.
+    def test_weights_past_int64_hold(self):
+        # Base 13 weights reach 13**18, far past int64, on 6 arguments and 19 levels;
+        # the matrix route sums them exactly.
         u = make_universe(19, [(f"x{i}", "pro", 18) for i in range(6)])
-        with pytest.raises(UniverseTooLargeError, match="int64"):
-            encoding_equivalence(u)
+        assert capacity_values(ProfileSpace(u))[0][-1] == 6 * 13**18
+        assert all(v.holds for v in encoding_equivalence(u).values())
 
 
 class TestCorollaries:
@@ -317,3 +321,62 @@ class TestCheckRegistry:
         assert failures > 10
         assert {v.check for v in verdicts} >= {"reflexive", "sym_transitive",
                                                "refines_biposs", "unbiased_ground"}
+
+
+class TestSweep:
+    # Keys first fail on different universes of the |X|<=3, |L|=3 range; "c" never does.
+    PLAN = (
+        ("a", "completeness", Rule.PARETO),
+        ("b", "prefindependence", Rule.BIPOSS),
+        ("c", "completeness", Rule.LEXI),
+    )
+
+    def first_failures(self, universes):
+        firsts = {}
+        for key, check, rule in self.PLAN:
+            firsts[key] = next(
+                (i for i, u in enumerate(universes)
+                 if not check_axiom(Axiom(check), rule, u).holds),
+                None,
+            )
+        return firsts
+
+    def test_stop_ends_the_count_at_the_first_failing_universe(self):
+        universes = list(iter_universes(3, 3))
+        firsts = self.first_failures(universes)
+        first = min(i for i in firsts.values() if i is not None)
+        count, findings = sweep(self.PLAN, universes, stop=True)
+        assert count == first + 1 < len(universes)
+        assert [key for key, f in findings.items() if f is not None] == ["b"]
+        assert findings["b"].universe == universes[first]
+        assert findings["b"].verdict == check_axiom(
+            Axiom.PREF_INDEPENDENCE, Rule.BIPOSS, universes[first]
+        )
+
+    def test_each_key_keeps_its_first_failure_in_canonical_order(self):
+        universes = list(iter_universes(3, 3))
+        firsts = self.first_failures(universes)
+        assert firsts["a"] != firsts["b"] and firsts["c"] is None
+        count, findings = sweep(self.PLAN, iter_universes(3, 3))
+        assert count == len(universes)
+        assert list(findings) == ["a", "b", "c"]
+        for key, index in firsts.items():
+            found = findings[key]
+            assert (found.universe if found else None) == (
+                None if index is None else universes[index]
+            )
+
+    def test_one_universe_is_the_file_audit(self, luka):
+        u = luka.universe
+        for rule in Rule:
+            count, findings = sweep(theorem1_bundle.plan(rule), [u])
+            assert count == 1
+            report = theorem1_bundle(rule, u)
+            assert list(findings) == [v.check for v in report.checks]
+            for verdict in report.checks:
+                found = findings[verdict.check]
+                assert (found is None) == verdict.holds
+                assert found is None or (found.universe, found.verdict) == (u, verdict)
+        count, findings = sweep(PROPOSITIONS, [u])
+        assert count == 1
+        assert findings == dict.fromkeys(proposition_checks(u))

@@ -3,14 +3,20 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proscons import fixture_path, load_fixture, parse_problem, serialize_problem
-from proscons.audit import Axiom
+from proscons import Rule, fixture_path, load_fixture, parse_problem, serialize_problem
+from proscons.audit import CHECKS, Axiom, Witness, check_axiom, theorem1_bundle
+from proscons.cli import _verdict_json as verdict_json
 from proscons.cli import main
+from conftest import make_universe
+
+GOLDEN = json.loads((Path(__file__).parent / "audit_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -37,6 +43,13 @@ def write_doc(tmp_path, num_args, num_levels, options=None):
         {"scale": scale, "arguments": arguments, "options": options or {"a": ["x0"]}}
     ))
     return str(path)
+
+
+def universe_of(entry, num_levels):
+    """The universe a JSON audit entry names, on an anonymous scale."""
+    return make_universe(
+        num_levels, [(a["name"], a["polarity"], a["level"]) for a in entry["universe"]]
+    )
 
 
 def assert_one_line_error(code, out, err, fragment):
@@ -279,10 +292,65 @@ class TestAudit:
         code, out, err = run(capsys, "audit", write_doc(tmp_path, 13, 3), *argv)
         assert_one_line_error(code, out, err, f"enumeration bound is {bound}")
 
-    def test_capacity_overflow_refused(self, capsys, tmp_path):
+    def test_capacity_weights_past_int64_are_audited(self, capsys, tmp_path):
+        # Base 13 weights reach 13**18 on 6 arguments and 19 levels.
         path = write_doc(tmp_path, 6, 19)
         code, out, err = run(capsys, "audit", path, "--bundle", "propositions")
-        assert_one_line_error(code, out, err, "overflow the int64 matrix route")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 14 and lines[-1] == "(1 universes checked)"
+        assert all(line.split() == [line.split()[0], "ok"] for line in lines[:-1])
+
+    def test_propositions_json_carries_witnesses(self, capsys, monkeypatch):
+        code, payload, _ = run_json(capsys, "audit", "luka", "--bundle", "propositions")
+        assert code == 0
+        assert all(entry["witness"] is None for entry in payload["results"])
+
+        def forced(ctx, rule):
+            return Witness(profiles=(frozenset(), frozenset()), note="forced")
+
+        check = CHECKS["np_equals_lexi"]
+        monkeypatch.setitem(CHECKS, check.name, replace(check, sweep=forced))
+        code, payload, _ = run_json(
+            capsys, "audit", "--generate", "|X|=2,|L|=3", "--bundle", "propositions"
+        )
+        assert code == 2
+        failed = [entry for entry in payload["results"] if not entry["ok"]]
+        assert failed == [{
+            "check": "np_equals_lexi",
+            "ok": False,
+            "witness": {"profiles": [[], []], "args": [], "note": "forced"},
+            "universe": [{"name": "p1a", "polarity": "pro", "level": 1}],
+        }]
+
+    def test_generated_axiom_failure_json_names_its_universe(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "audit", "--generate", "|X|=3,|L|=3",
+            "--axiom", "prefindependence", "--rule", "all",
+        )
+        assert code == 0
+        failed = [entry for entry in payload["results"] if not entry["holds"]]
+        assert len(failed) == 3
+        for entry in payload["results"]:
+            assert ("universe" in entry) != entry["holds"]
+        for entry in failed:
+            verdict = check_axiom(
+                Axiom.PREF_INDEPENDENCE, Rule(entry["rule"]), universe_of(entry, 3)
+            )
+            assert verdict_json(verdict)["witness"] == entry["witness"]
+
+    def test_generated_bundle_json_names_the_failing_universe(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "audit", "--generate", "|X|=2,|L|=3", "--bundle", "theorem1",
+        )
+        assert code == 0
+        for entry in payload["results"]:
+            rule = Rule(entry["rule"])
+            if rule is theorem1_bundle.designated:
+                assert "universe" not in entry
+                continue
+            report = theorem1_bundle(rule, universe_of(entry, 3), stop_at_first_failure=True)
+            assert report.failures[0].check in entry["detail"]
 
     def test_audit_needs_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "audit", "luc")
@@ -293,6 +361,24 @@ class TestAudit:
             capsys, "audit", "--generate", "bогus", "--axiom", "ca"
         )
         assert code == 1
+
+
+class TestAuditGolden:
+    """Exact text of the six audit modes: a problem file or ``--generate``,
+    each with ``--axiom``, ``--bundle theorem1|theorem2`` and ``propositions``."""
+
+    @staticmethod
+    def case_id(case):
+        argv = case["argv"]
+        source = "generated" if "--generate" in argv else argv[1]
+        mode = "axiom" if "--axiom" in argv else "bundle"
+        return f"{source}-{argv[argv.index('--' + mode) + 1]}"
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=case_id.__func__)
+    def test_text_output_is_pinned(self, capsys, case):
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, err) == (case["exit"], "")
+        assert out == "".join(line + "\n" for line in case["lines"])
 
 
 class TestTtb:
