@@ -11,6 +11,12 @@ Both, with the enumeration bound, make up the axiom's :class:`Check`
 record in ``AXIOMS``.  The replay route never touches the matrices,
 so a witness that replays is evidence against the rule, not against the
 sweep machinery.
+
+Some sweeps first decide with a cheaper exact kernel and scan for the
+witness only when it finds a violation: transitivity with a matrix product,
+``gclo``/``gneg`` with a subset convolution (``_union_closed``) and the two
+monotony checks with one-argument steps (``_monotone``).  The scanner
+alone names the witness, so the kernel changes no witness or its order.
 """
 
 from __future__ import annotations
@@ -100,7 +106,11 @@ class Check:
 
     ``sweep(context, rule)`` quantifies over the universe's profiles with
     the relation matrices and returns the first witness, or ``None``;
-    sweeps name a witness's profile masks through ``_witness``.
+    sweeps name a witness's profile masks through ``_witness``.  For
+    ``gclo``, ``gneg``, ``posmonotony`` and ``negmonotony`` (and the
+    transitivity checks) the sweep decides with a closure kernel, and only
+    on a violation does its scanner run and name the first witness in the
+    documented order.
     ``replay(rule, universe, witness)`` re-checks a witness through the
     scalar comparison functions only.  ``bound`` is the largest universe
     the sweep may enumerate.
@@ -172,12 +182,29 @@ def _check_sqc(ctx: AuditContext, rule: Rule):
     return None
 
 
-def _monotony(ctx, rule, *, positive: bool):
-    rel = ctx.rel(rule)
-    space = ctx.space
-    side = space.pos_mask if positive else space.neg_mask
-    subs = space.submasks(side)
-    pairs = np.argwhere(rel.weak)
+def _monotone(weak: np.ndarray, side: int, *, positive: bool) -> bool:
+    """Whether ``weak`` keeps every pair under one-argument steps on ``side``.
+
+    The steps are adding one ``side`` argument to the row profile, and
+    separately removing one from the column profile (the reverse for
+    ``positive=False``).  Both are instances of the monotony axiom, and
+    chains of them reach every (A ∪ C, B ∖ C′), so this decides it.
+    """
+    masks = np.arange(len(weak))
+    while side:
+        bit = side & -side
+        side ^= bit
+        grow, shrink = masks | bit, masks & ~bit
+        rows, cols = (grow, shrink) if positive else (shrink, grow)
+        if (weak & ~weak[rows, :]).any() or (weak & ~weak[:, cols]).any():
+            return False
+    return True
+
+
+def _monotony_scan(ctx, weak, side, *, positive: bool):
+    # Enumeration order: (A, B) row-major over weak pairs, then (C, C') row-major.
+    subs = ctx.space.submasks(side)
+    pairs = np.argwhere(weak)
     for start in range(0, len(pairs), _PAIR_BLOCK):
         block = pairs[start : start + _PAIR_BLOCK]
         a, b = block[:, 0], block[:, 1]
@@ -187,12 +214,20 @@ def _monotony(ctx, rule, *, positive: bool):
         else:
             rows = a[:, None] & ~subs[None, :]
             cols = b[:, None] | subs[None, :]
-        ok = rel.weak[rows[:, :, None], cols[:, None, :]]
+        ok = weak[rows[:, :, None], cols[:, None, :]]
         hit = _first(~ok)
         if hit:
             k, ci, cj = hit
             return _witness(ctx, a[k], b[k], subs[ci], subs[cj])
     return None
+
+
+def _monotony(ctx, rule, *, positive: bool):
+    weak = ctx.rel(rule).weak
+    side = ctx.space.pos_mask if positive else ctx.space.neg_mask
+    if _monotone(weak, side, positive=positive):
+        return None
+    return _monotony_scan(ctx, weak, side, positive=positive)
 
 
 def _check_weakunanimity(ctx, rule):
@@ -294,11 +329,36 @@ def _check_clo(ctx, rule):
     return None
 
 
-def _combination(ctx, rule, *, strict_parts: bool):
-    # The two union operands commute, so only ordered pair-of-pairs (i <= j)
-    # need checking; the row-major-first violation always lies there.
-    rel = ctx.rel(rule)
-    base = rel.strict if strict_parts else rel.weak
+def _subset_transform(values: np.ndarray, op) -> None:
+    """Zeta (``np.add``) or Möbius (``np.subtract``) transform, in place,
+    over the subsets indexing a C-contiguous vector."""
+    size = len(values)
+    for i in range(size.bit_length() - 1):
+        view = values.reshape(-1, 2, 1 << i)
+        op(view[:, 1], view[:, 0], out=view[:, 1])
+
+
+def _union_closed(base: np.ndarray) -> bool:
+    """Whether ``base[a|c, b|d]`` holds whenever ``base[a, b]`` and ``base[c, d]`` do.
+
+    Read the pair (a, b) as one subset of 2n bits, ``a << n | b``; then
+    (a|c, b|d) is the union of two pairs.  So ``base`` is union-closed iff
+    its OR-convolution with itself, computed as a fast subset convolution
+    (zeta transform, square, Möbius transform; Björklund, Husfeldt, Kaski
+    and Koivisto, STOC 2007), is zero off ``base``.  O(n·4^n) in about 4n
+    numpy calls; the counts stay below 2^(4n) in int64.
+    """
+    counts = base.astype(np.int64).reshape(-1)
+    _subset_transform(counts, np.add)
+    counts *= counts
+    _subset_transform(counts, np.subtract)
+    return not (counts.reshape(base.shape).astype(bool) & ~base).any()
+
+
+def _combination_scan(ctx, base):
+    # Enumeration order: pair-of-pairs ((A, B), (C, D)) row-major over the
+    # base pairs.  The two union operands commute, so only ordered
+    # pair-of-pairs (i <= j) need checking; the first violation lies there.
     pairs = np.argwhere(base).astype(np.int32)
     a, b = pairs[:, 0], pairs[:, 1]
     for start in range(0, len(pairs), _PAIR_BLOCK):
@@ -314,6 +374,12 @@ def _combination(ctx, rule, *, strict_parts: bool):
             j += start
             return _witness(ctx, a[i], b[i], a[j], b[j])
     return None
+
+
+def _combination(ctx, rule, *, strict_parts: bool):
+    rel = ctx.rel(rule)
+    base = rel.strict if strict_parts else rel.weak
+    return None if _union_closed(base) else _combination_scan(ctx, base)
 
 
 def _efficiency(ctx, rule, *, positive: bool):

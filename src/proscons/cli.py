@@ -335,6 +335,8 @@ def cmd_audit(args) -> int:
         raise ProblemFormatError("audit needs a problem file or --generate, not both")
     if (args.axiom is None) == (args.bundle is None):
         raise ProblemFormatError("audit needs exactly one of --axiom or --bundle")
+    if args.bundle is not None and args.expect is not None:
+        raise ProblemFormatError("--expect applies to --axiom audits only")
 
     rules = list(Rule) if args.rule in (None, "all") else [Rule(args.rule)]
     generated = args.generate is not None
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", choices=[*BUNDLES, "propositions"])
     p.add_argument(
         "--expect", choices=["holds", "fails"],
-        help="exit 2 unless the axiom verdict matches",
+        help="exit 2 unless the axiom verdict matches (axiom audits only)",
     )
     p.set_defaults(func=cmd_audit)
 

@@ -1,5 +1,8 @@
 """Audit harness: enumeration, axiom checks, witnesses, bundles, searches."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from proscons import Outcome, Rule, TrivialUniverseError, compare
@@ -29,8 +32,19 @@ from proscons.audit import (
     theorem2_bundle,
     weak_matrix,
 )
+from proscons.audit.axioms import (
+    _combination_scan,
+    _monotone,
+    _monotony_scan,
+    _union_closed,
+)
 from proscons.audit.matrices import capacity_values
 from conftest import make_universe
+
+TUPLE_GOLDEN = json.loads(
+    (Path(__file__).parent / "tuple_witness_golden.json").read_text(encoding="utf-8")
+)
+TUPLE_CHECKS = (Axiom.GCLO, Axiom.GNEG, Axiom.POS_MONOTONY, Axiom.NEG_MONOTONY)
 
 
 class TestEnumeration:
@@ -298,6 +312,42 @@ class TestWitnessReplayGallery:
                         assert replay_witness(verdict, u), (rule, axiom, u)
                         count += 1
         assert count > 50  # the sweep genuinely exercises failures
+
+
+class TestClosureKernels:
+    # The kernels decide gclo, gneg and the monotony checks; the scanners
+    # name the witness.  Both must agree on every universe of the range.
+    def test_kernels_agree_with_scanners(self):
+        failures = 0
+        for u in iter_universes(4, 3):
+            ctx = AuditContext(u)
+            space = ctx.space
+            for rule in Rule:
+                rel = ctx.rel(rule)
+                for axiom, base in ((Axiom.GCLO, rel.weak), (Axiom.GNEG, rel.strict)):
+                    found = _combination_scan(ctx, base)
+                    assert _union_closed(base) == (found is None), (axiom, rule, u)
+                    assert check_axiom(axiom, rule, u, context=ctx).witness == found
+                    failures += found is not None
+                for axiom, side, positive in (
+                    (Axiom.POS_MONOTONY, space.pos_mask, True),
+                    (Axiom.NEG_MONOTONY, space.neg_mask, False),
+                ):
+                    found = _monotony_scan(ctx, rel.weak, side, positive=positive)
+                    assert _monotone(rel.weak, side, positive=positive) == (found is None)
+                    assert check_axiom(axiom, rule, u, context=ctx).witness == found
+                    failures += found is not None
+        assert failures == 726
+
+    @pytest.mark.parametrize("case", TUPLE_GOLDEN, ids=lambda case: case["universe"])
+    def test_witnesses_are_pinned(self, case):
+        # Recorded by the scanners alone, with no kernel deciding.
+        u = next(u for u in iter_universes(3, 3)
+                 if " ".join(a.name for a in u.arguments) == case["universe"])
+        ctx = AuditContext(u)
+        lines = [check_axiom(axiom, rule, u, context=ctx).describe()
+                 for axiom in TUPLE_CHECKS for rule in Rule]
+        assert lines == case["lines"]
 
 
 class TestCheckRegistry:

@@ -200,6 +200,16 @@ class TestAudit:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("bundle", ["propositions", "theorem1"])
+    @pytest.mark.parametrize("source", [["luc"], ["--generate", "|X|=2,|L|=3"]])
+    @pytest.mark.parametrize("expect", ["holds", "fails"])
+    def test_expect_with_bundle_is_refused(self, capsys, bundle, source, expect):
+        code, out, err = run(
+            capsys, "audit", *source, "--bundle", bundle, "--expect", expect
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --expect applies to --axiom audits only\n"
+
     def test_generated_bundle_theorem1(self, capsys):
         code, out, _ = run(
             capsys, "audit", "--generate", "|X|=3,|L|=3",

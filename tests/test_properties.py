@@ -3,8 +3,11 @@
 The audit harness enumerates every profile only up to 12 arguments; these
 tests draw universes of up to 60 arguments on up to 30 levels and check,
 through the scalar functions, the claims the sweeps certify on small ones.
+The closure kernels are checked against their definitions on random
+relations, which break the axioms far more often than the rules do.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,14 @@ from proscons import (
     compare_np,
     complete_polar_opposites,
     ttb_compare,
+)
+from proscons.audit import AuditContext
+from proscons.audit.axioms import (
+    _combination_scan,
+    _monotone,
+    _monotony_scan,
+    _union_closed,
+    _witness,
 )
 from proscons.audit.reports import REFINEMENT_CHAIN
 
@@ -115,3 +126,94 @@ def test_cue_scan_coincides_with_cancellation_rules(problem):
     a, b = instance.options["one"], instance.options["two"]
     for rule in (Rule.DISCRI, Rule.BILEXI, Rule.LEXI):
         assert compare(rule, a, b) is outcome, rule
+
+
+MAX_KERNEL_ARGS = 4
+
+
+def _close(rel, force):
+    """Smallest superset of ``rel`` holding every pair ``force`` derives from its pairs."""
+    while True:
+        grown = rel.copy()
+        for rows, cols in force(*np.nonzero(rel)):
+            grown[rows, cols] = True
+        if (grown == rel).all():
+            return rel
+        rel = grown
+
+
+def _union_steps(a, b):
+    yield a[:, None] | a[None, :], b[:, None] | b[None, :]
+
+
+def _monotony_steps(side, positive):
+    def force(a, b):
+        for bit in (1 << i for i in range(side.bit_length()) if side >> i & 1):
+            yield (a | bit, b) if positive else (a & ~bit, b)
+            yield (a, b & ~bit) if positive else (a, b | bit)
+    return force
+
+
+@st.composite
+def relations(draw):
+    """``(rel, side, positive)``: a bool relation over the 2^n subsets of n <= 4
+    arguments, a side mask and a monotony direction.
+
+    The relation is random cells, or the closure of a few random pairs under
+    union or under one-argument monotony steps on ``side``, so both verdicts
+    of each kernel occur; one cell may then flip, for near misses.
+    """
+    size = 1 << draw(st.integers(0, MAX_KERNEL_ARGS))
+    side = draw(st.integers(0, size - 1))
+    positive = draw(st.booleans())
+    index = st.integers(0, size - 1)
+    kind = draw(st.sampled_from(["cells", "union", "monotony"]))
+    if kind == "cells":
+        cells = draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+        rel = np.array(cells, dtype=bool).reshape(size, size)
+    else:
+        rel = np.zeros((size, size), dtype=bool)
+        for a, b in draw(st.lists(st.tuples(index, index), max_size=3)):
+            rel[a, b] = True
+        force = _union_steps if kind == "union" else _monotony_steps(side, positive)
+        rel = _close(rel, force)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=1)):
+        rel[a, b] = not rel[a, b]
+    return rel, side, positive
+
+
+def _context(size):
+    """Audit context over ``log2(size)`` pro arguments, to name scanner witnesses."""
+    scale = ImportanceScale(("l0", "l1"))
+    args = tuple(Argument(f"x{i}", Polarity.PRO, 1) for i in range(size.bit_length() - 1))
+    return AuditContext(DecisionUniverse(scale, args))
+
+
+@deterministic
+@given(relations())
+def test_union_closure_kernel_matches_its_definition(case):
+    rel, _, _ = case
+    m = np.arange(len(rel))
+    a, b, c, d = np.ix_(m, m, m, m)
+    viol = rel[a, b] & rel[c, d] & ~rel[a | c, b | d]
+    assert _union_closed(rel) == (not viol.any())
+    if viol.any():  # the scanner names the lexicographically first (A, B, C, D)
+        ctx = _context(len(rel))
+        assert _combination_scan(ctx, rel) == _witness(ctx, *np.argwhere(viol)[0])
+
+
+@deterministic
+@given(relations())
+def test_monotony_kernel_matches_its_definition(case):
+    rel, side, positive = case
+    m = np.arange(len(rel))
+    subs = m[(m & ~side) == 0]
+    a, b, c, cp = np.ix_(m, m, subs, subs)
+    rows, cols = (a | c, b & ~cp) if positive else (a & ~c, b | cp)
+    viol = rel[a, b] & ~rel[rows, cols]
+    assert _monotone(rel, side, positive=positive) == (not viol.any())
+    if viol.any():  # the scanner names the lexicographically first (A, B, C, C')
+        ctx = _context(len(rel))
+        k, l, i, j = np.argwhere(viol)[0]
+        found = _monotony_scan(ctx, rel, side, positive=positive)
+        assert found == _witness(ctx, k, l, subs[i], subs[j])
