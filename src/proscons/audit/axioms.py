@@ -17,6 +17,13 @@ witness only when it finds a violation: transitivity with a matrix product,
 ``gclo``/``gneg`` with a subset convolution (``_union_closed``) and the two
 monotony checks with one-argument steps (``_monotone``).  The scanner
 alone names the witness, so the kernel changes no witness or its order.
+
+The exchange-type checks (``sqc``, ``xmonotony``, ``prefindependence``,
+``anonymity`` and the three independence corollaries) compare a relation on
+free profile pairs with the same relation on shifted ones.  They share one
+``_shift_scan``, whose witness is the first shift in the check's order, then
+the first (A, B) in row-major order.  The ground checks read the ground
+relation from the weak matrix, at the singletons and the empty profile.
 """
 
 from __future__ import annotations
@@ -111,6 +118,8 @@ class Check:
     transitivity checks) the sweep decides with a closure kernel, and only
     on a violation does its scanner run and name the first witness in the
     documented order.
+    The exchange-type sweeps list their shifts for ``_shift_scan``, which
+    names the first shift, then the first (A, B) row-major, that breaks.
     ``replay(rule, universe, witness)`` re-checks a witness through the
     scalar comparison functions only.  ``bound`` is the largest universe
     the sweep may enumerate.
@@ -140,8 +149,9 @@ class Check:
 # ---------------------------------------------------------------------------
 
 def _first(viol: np.ndarray):
-    idx = np.argwhere(viol)
-    return tuple(int(v) for v in idx[0]) if idx.size else None
+    if not viol.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(viol.argmax(), viol.shape))
 
 
 def _witness(ctx: AuditContext, *masks, args: tuple[str, ...] = (), note: str = "") -> Witness:
@@ -155,31 +165,62 @@ def _pair_witness(ctx: AuditContext, viol: np.ndarray, note: str = "") -> Witnes
     return None if hit is None else _witness(ctx, *hit, note=note)
 
 
-def _check_ca(ctx: AuditContext, rule: Rule):
-    w = ctx.rel(rule).weak
-    for i, name in enumerate(ctx.space.names):
-        m = 1 << i
-        if not (w[m, 0] or w[0, m]):
-            return Witness(args=(name,))
+def _shift_scan(ctx: AuditContext, values: np.ndarray, shifts, differ) -> Witness | None:
+    """Witness at the first shift, then the first (A, B) row-major, that ``differ`` flags.
+
+    ``values`` is a relation matrix, read flat with pair (A, B) at
+    ``A << n | B``.  A shift is ``(rows, cols, views, tail)``: A ranges over
+    ``rows`` and B over ``cols``, both ascending; each view ``(r, c)`` reads
+    the pair (A | r, B | c), and ``differ`` maps the views to a (rows, cols)
+    mask.  ``tail(A, B)`` builds the witness; it is called before the next
+    shift is drawn, so ``shifts`` may be a generator.
+    """
+    flat = values.reshape(-1)
+    n = ctx.space.n
+    for rows, cols, views, tail in shifts:
+        hit = _first(differ(*(
+            flat[(rows | r)[:, None] << n | (cols | c)[None, :]] for r, c in views
+        )))
+        if hit:
+            return tail(rows[hit[0]], cols[hit[1]])
     return None
+
+
+def _pair_codes(weak: np.ndarray) -> np.ndarray:
+    """Each pair's 2-bit code: bit 0 is A ≽ B, bit 1 is B ≽ A."""
+    return weak | weak.T.astype(np.uint8) << 1
+
+
+def _indifferent_pairs(rel) -> list[list[int]]:
+    """(C, D) with C ~ D and C ≠ D, row-major."""
+    return np.argwhere(rel.sym & ~np.eye(len(rel.sym), dtype=bool)).tolist()
+
+
+def _ground(ctx: AuditContext, rule: Rule) -> np.ndarray:
+    """The weak relation on the singletons, in argument order, then the empty profile."""
+    items = [1 << i for i in range(ctx.space.n)] + [0]
+    return ctx.rel(rule).weak[np.ix_(items, items)]
+
+
+def _reach(base: np.ndarray) -> np.ndarray:
+    """Pairs joined by a two-step path in ``base``."""
+    return (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
+
+
+def _check_ca(ctx: AuditContext, rule: Rule):
+    ground = _ground(ctx, rule)
+    hit = _first(~ground[:-1, -1] & ~ground[-1, :-1])
+    return None if hit is None else Witness(args=(ctx.space.names[hit[0]],))
 
 
 def _check_sqc(ctx: AuditContext, rule: Rule):
-    # Quantifies over the arguments the rule itself deems worthless.
+    # Shifts: the arguments the rule itself deems worthless, by index.
     rel = ctx.rel(rule)
-    space = ctx.space
-    masks = np.arange(space.size, dtype=np.int64)
-    for i, name in enumerate(space.names):
-        m = 1 << i
-        if not rel.sym[m, 0]:
-            continue
-        with_rows = rel.weak[masks | m, :]
-        with_cols = rel.weak[:, masks | m]
-        viol = (rel.weak != with_rows) | (rel.weak != with_cols)
-        hit = _first(viol)
-        if hit:
-            return _witness(ctx, *hit, args=(name,))
-    return None
+    masks = np.arange(ctx.space.size)
+    shifts = ((masks, masks, ((0, 0), (1 << i, 0), (0, 1 << i)),
+               lambda a, b: _witness(ctx, a, b, args=(name,)))
+              for i, name in enumerate(ctx.space.names) if rel.sym[1 << i, 0])
+    return _shift_scan(ctx, rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
 
 
 def _monotone(weak: np.ndarray, side: int, *, positive: bool) -> bool:
@@ -248,31 +289,21 @@ def _check_nontriviality(ctx, rule):
     return None
 
 
+# Whether x' in place of x breaks xmonotony, by the pair codes of (A ∪ {x}, B)
+# (row) and (A ∪ {x'}, B) (column): a strict or tied win of A, or a strict or
+# tied loss seen from B, that the swap turns into something worse.
+_XMONOTONY_BREAKS = np.array([[0, 0, 1, 1], [1, 0, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0]], bool)
+
+
 def _check_xmonotony(ctx, rule):
-    # Enumeration order: (x, x') by argument index, then (A, B) row-major.
+    # Shifts: (x, x') by argument index, x ≠ x' and x' ≽ x.
     rel = ctx.rel(rule)
     space = ctx.space
-    weak, strict, sym = rel.weak, rel.strict, rel.sym
-    for i, x_name in enumerate(space.names):
-        xb = 1 << i
-        for j, xp_name in enumerate(space.names):
-            if i == j:
-                continue
-            xpb = 1 << j
-            if not weak[xpb, xb]:
-                continue  # need x' at least as strong as x
-            free = space.disjoint_from(xb | xpb)
-            with_x = free | xb
-            with_xp = free | xpb
-            v1 = strict[with_x, :] & ~strict[with_xp, :]
-            v2 = sym[with_x, :] & ~weak[with_xp, :]
-            v3 = (strict[:, with_xp] & ~strict[:, with_x]).T
-            v4 = (sym[:, with_xp] & ~weak[:, with_x]).T
-            hit = _first(v1 | v2 | v3 | v4)
-            if hit:
-                ai, b = hit
-                return _witness(ctx, free[ai], b, args=(x_name, xp_name))
-    return None
+    shifts = ((space.disjoint_from(1 << i | 1 << j), np.arange(space.size),
+               ((1 << i, 0), (1 << j, 0)), lambda a, b: _witness(ctx, a, b, args=(x, xp)))
+              for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
+              if i != j and rel.weak[1 << j, 1 << i])
+    return _shift_scan(ctx, _pair_codes(rel.weak), shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
 
 
 def _cancellation(ctx, rule, *, positive: bool):
@@ -357,21 +388,17 @@ def _union_closed(base: np.ndarray) -> bool:
 
 def _combination_scan(ctx, base):
     # Enumeration order: pair-of-pairs ((A, B), (C, D)) row-major over the
-    # base pairs.  The two union operands commute, so only ordered
-    # pair-of-pairs (i <= j) need checking; the first violation lies there.
+    # base pairs.  Each block starts its columns at its first row: the union
+    # commutes, so a violation (i, j) with j < i makes row j violate too, and
+    # the first violating row's first partner never lies before it.
     pairs = np.argwhere(base).astype(np.int32)
     a, b = pairs[:, 0], pairs[:, 1]
     for start in range(0, len(pairs), _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, len(pairs))
-        au = a[start:stop, None] | a[None, start:]
-        bu = b[start:stop, None] | b[None, start:]
-        ok = base[au, bu]
-        ok[np.tril_indices(stop - start, k=-1, m=len(pairs) - start)] = True
-        hit = _first(~ok)
+        au = a[start : start + _PAIR_BLOCK, None] | a[None, start:]
+        bu = b[start : start + _PAIR_BLOCK, None] | b[None, start:]
+        hit = _first(~base[au, bu])
         if hit:
-            i, j = hit
-            i += start
-            j += start
+            i, j = hit[0] + start, hit[1] + start
             return _witness(ctx, a[i], b[i], a[j], b[j])
     return None
 
@@ -400,18 +427,13 @@ def _efficiency(ctx, rule, *, positive: bool):
 
 
 def _check_prefindependence(ctx, rule):
-    # Enumeration order: C ascending, then (A, B) row-major.
-    rel = ctx.rel(rule)
-    space = ctx.space
-    for c in range(1, space.size):
-        rest = space.disjoint_from(c)
-        plain = rel.weak[np.ix_(rest, rest)]
-        shifted = rel.weak[np.ix_(rest | c, rest | c)]
-        hit = _first(plain != shifted)
-        if hit:
-            ai, bj = hit
-            return _witness(ctx, rest[ai], rest[bj], c)
-    return None
+    # Shifts: C ascending; A and B range over the profiles disjoint from C.
+    def shifts():
+        for c in range(1, ctx.space.size):
+            rest = ctx.space.disjoint_from(c)
+            yield rest, rest, ((0, 0), (c, c)), lambda a, b: _witness(ctx, a, b, c)
+
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts(), np.not_equal)
 
 
 def _check_completeness(ctx, rule):
@@ -420,23 +442,21 @@ def _check_completeness(ctx, rule):
 
 def _transitive_violation(ctx, rule, *, part: str):
     # ``part`` names the relation tested: "weak", "strict" or "sym".
+    # Lexicographically first (A, B, C) with base[A,B], base[B,C], not base[A,C]:
+    # A is the first row the product flags.
     base = getattr(ctx.rel(rule), part)
-    reach = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
-    if not (reach & ~base).any():
+    rows = (_reach(base) & ~base).any(axis=1)
+    if not rows.any():
         return None
-    # Lexicographically first (A, B, C) with base[A,B], base[B,C], not base[A,C].
-    for a in range(ctx.space.size):
-        row = base[a]
-        for b in np.nonzero(row)[0]:
-            bad = base[b] & ~row
-            if bad.any():
-                return _witness(ctx, a, b, np.argmax(bad))
-    return None
+    a = np.argmax(rows)
+    bad = base & ~base[a]  # bad[B, C]: base[B, C] and not base[A, C]
+    b = np.argmax(base[a] & bad.any(axis=1))
+    return _witness(ctx, a, b, np.argmax(bad[b]))
 
 
 def _check_simplegrounding(ctx, rule):
-    ground = ground_relation(rule, ctx.universe)
-    if not ground.is_weak_order:
+    ground = _ground(ctx, rule)
+    if not (ground | ground.T).all() or (_reach(ground) & ~ground).any():
         return Witness(note="ground")
     for sub in (Axiom.X_MONOTONY, Axiom.POSC, Axiom.NEGC):
         witness = AXIOMS[sub].sweep(ctx, rule)
@@ -448,21 +468,12 @@ def _check_simplegrounding(ctx, rule):
 
 
 def _check_anonymity(ctx, rule):
-    # Enumeration order: (C, D) row-major over indifferent pairs, then (A, B).
+    # Shifts: (C, D) row-major over indifferent pairs; A is disjoint from both.
     rel = ctx.rel(rule)
-    space = ctx.space
-    pairs = np.argwhere(rel.sym)
-    for c, d in pairs:
-        if c == d:
-            continue
-        free = space.disjoint_from(int(c) | int(d))
-        left = rel.weak[free | int(c), :] != rel.weak[free | int(d), :]
-        right = (rel.weak[:, free | int(c)] != rel.weak[:, free | int(d)]).T
-        hit = _first(left | right)
-        if hit:
-            ai, b = hit
-            return _witness(ctx, free[ai], b, c, d)
-    return None
+    shifts = ((ctx.space.disjoint_from(c | d), np.arange(ctx.space.size), ((c, 0), (d, 0)),
+               lambda a, b: _witness(ctx, a, b, c, d))
+              for c, d in _indifferent_pairs(rel))
+    return _shift_scan(ctx, _pair_codes(rel.weak), shifts, np.not_equal)
 
 
 # ---------------------------------------------------------------------------

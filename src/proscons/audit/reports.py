@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core import DecisionUniverse, ProblemError
 from ..encodings import compare_bilexi_np, compare_np
-from ..rules import Rule, compare, compare_impl, compare_impl_cases, ground_relation
+from ..rules import EMPTY_LABEL, Rule, compare, compare_impl, compare_impl_cases
 from .axioms import (
     AXIOMS,
     Axiom,
@@ -29,7 +29,11 @@ from .axioms import (
     Check,
     Witness,
     _first,
+    _ground,
+    _indifferent_pairs,
+    _pair_codes,
     _pair_witness,
+    _shift_scan,
     _strict,
     _sym,
     _transitive_violation,
@@ -173,58 +177,37 @@ COROLLARIES = (
 
 def _check_add_indifferent_set(ctx, rule):
     # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
+    # Shifts: C ascending.
     rel = ctx.rel(rule)
-    space = ctx.space
-    for c in range(1, space.size):
-        if not rel.sym[c, 0]:
-            continue
-        free = space.disjoint_from(c)
-        left = rel.weak[free, :] != rel.weak[free | c, :]
-        right = (rel.weak[:, free] != rel.weak[:, free | c]).T
-        hit = _first(left | right)
-        if hit:
-            ai, b = hit
-            return _witness(ctx, free[ai], b, c)
-    return None
+    shifts = ((ctx.space.disjoint_from(c), np.arange(ctx.space.size), ((0, 0), (c, 0)),
+               lambda a, b: _witness(ctx, a, b, c))
+              for c in range(1, ctx.space.size) if rel.sym[c, 0])
+    return _shift_scan(ctx, _pair_codes(rel.weak), shifts, np.not_equal)
 
 
 def _check_swap_indifferent_sets(ctx, rule):
     # Swapping C ~ D across the two sides, both disjoint from A and B.
+    # Shifts: (C, D) row-major over indifferent pairs.
     rel = ctx.rel(rule)
-    space = ctx.space
-    for c, d in np.argwhere(rel.sym):
-        if c == d:
-            continue
-        free = space.disjoint_from(int(c) | int(d))
-        plain = rel.weak[np.ix_(free, free)]
-        swapped = rel.weak[np.ix_(free | int(c), free | int(d))]
-        hit = _first(plain != swapped)
-        if hit:
-            ai, bj = hit
-            return _witness(ctx, free[ai], free[bj], c, d)
-    return None
+
+    def shifts():
+        for c, d in _indifferent_pairs(rel):
+            free = ctx.space.disjoint_from(c | d)
+            yield free, free, ((0, 0), (c, d)), lambda a, b: _witness(ctx, a, b, c, d)
+
+    return _shift_scan(ctx, rel.weak, shifts(), np.not_equal)
 
 
 def _check_swap_indifferent_singletons(ctx, rule):
     # Swapping single arguments x ~ y; x may already sit in B, y in A.
+    # Shifts: (x, y) by argument index.
     rel = ctx.rel(rule)
     space = ctx.space
-    masks = np.arange(space.size, dtype=np.int64)
-    for i, x_name in enumerate(space.names):
-        xb = 1 << i
-        for j, y_name in enumerate(space.names):
-            yb = 1 << j
-            if not rel.sym[xb, yb]:
-                continue
-            rows = masks[(masks & xb) == 0]
-            cols = masks[(masks & yb) == 0]
-            plain = rel.weak[np.ix_(rows, cols)]
-            swapped = rel.weak[np.ix_(rows | xb, cols | yb)]
-            hit = _first(plain != swapped)
-            if hit:
-                ai, bj = hit
-                return _witness(ctx, rows[ai], cols[bj], args=(x_name, y_name))
-    return None
+    shifts = ((space.disjoint_from(1 << i), space.disjoint_from(1 << j),
+               ((0, 0), (1 << i, 1 << j)), lambda a, b: _witness(ctx, a, b, args=(x, y)))
+              for i, x in enumerate(space.names) for j, y in enumerate(space.names)
+              if rel.sym[1 << i, 1 << j])
+    return _shift_scan(ctx, rel.weak, shifts, np.not_equal)
 
 
 def _replay_add_indifferent_set(rule, u, w):
@@ -322,14 +305,12 @@ def encoding_equivalence(
 # ---------------------------------------------------------------------------
 
 def _check_unbiased_ground(ctx, rule):
-    mine = ground_relation(rule, ctx.universe)
-    base = ground_relation(Rule.BIPOSS, ctx.universe)
-    n = len(mine.items)
-    for i in range(n):
-        for j in range(n):
-            if mine.outcomes[i][j] != base.outcomes[i][j]:
-                return Witness(args=(mine.items[i], mine.items[j]), note="unbiased_ground")
-    return None
+    mine, base = _ground(ctx, rule), _ground(ctx, Rule.BIPOSS)
+    hit = _first((mine != base) | (mine.T != base.T))
+    if hit is None:
+        return None
+    items = ctx.space.names + (EMPTY_LABEL,)
+    return Witness(args=tuple(items[i] for i in hit), note="unbiased_ground")
 
 
 def _replay_unbiased_ground(rule, u, w):

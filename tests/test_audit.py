@@ -44,7 +44,12 @@ from conftest import make_universe
 TUPLE_GOLDEN = json.loads(
     (Path(__file__).parent / "tuple_witness_golden.json").read_text(encoding="utf-8")
 )
-TUPLE_CHECKS = (Axiom.GCLO, Axiom.GNEG, Axiom.POS_MONOTONY, Axiom.NEG_MONOTONY)
+TUPLE_CHECKS = (
+    "gclo", "gneg", "posmonotony", "negmonotony",
+    "sqc", "xmonotony", "prefindependence", "anonymity", "add_indifferent_set",
+    "swap_indifferent_sets", "swap_indifferent_singletons", "simplegrounding",
+    "unbiased_ground", "transitivity", "quasitransitivity", "sym_transitive",
+)
 
 
 class TestEnumeration:
@@ -341,12 +346,14 @@ class TestClosureKernels:
 
     @pytest.mark.parametrize("case", TUPLE_GOLDEN, ids=lambda case: case["universe"])
     def test_witnesses_are_pinned(self, case):
-        # Recorded by the scanners alone, with no kernel deciding.
+        # Recorded by independent code: the closure checks by their scanners
+        # alone, with no kernel deciding; the exchange-type and ground checks
+        # by one loop per check and the scalar ground relation.
         u = next(u for u in iter_universes(3, 3)
                  if " ".join(a.name for a in u.arguments) == case["universe"])
         ctx = AuditContext(u)
-        lines = [check_axiom(axiom, rule, u, context=ctx).describe()
-                 for axiom in TUPLE_CHECKS for rule in Rule]
+        lines = [CHECKS[check].verdict(rule, u, context=ctx).describe()
+                 for check in TUPLE_CHECKS for rule in Rule]
         assert lines == case["lines"]
 
 

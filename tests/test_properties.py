@@ -3,11 +3,13 @@
 The audit harness enumerates every profile only up to 12 arguments; these
 tests draw universes of up to 60 arguments on up to 30 levels and check,
 through the scalar functions, the claims the sweeps certify on small ones.
-The closure kernels are checked against their definitions on random
-relations, which break the axioms far more often than the rules do.
+The closure kernels, the shift-scan checks and the ground checks are held
+to their definitions on random relations, which break the axioms far more
+often than the rules do.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,7 @@ from proscons import (
     complete_polar_opposites,
     ttb_compare,
 )
-from proscons.audit import AuditContext
+from proscons.audit import CHECKS, AuditContext, Witness
 from proscons.audit.axioms import (
     _combination_scan,
     _monotone,
@@ -34,6 +36,7 @@ from proscons.audit.axioms import (
     _union_closed,
     _witness,
 )
+from proscons.audit.matrices import RelationSet
 from proscons.audit.reports import REFINEMENT_CHAIN
 
 MAX_ARGS = 60
@@ -217,3 +220,119 @@ def test_monotony_kernel_matches_its_definition(case):
         k, l, i, j = np.argwhere(viol)[0]
         found = _monotony_scan(ctx, rel, side, positive=positive)
         assert found == _witness(ctx, k, l, subs[i], subs[j])
+
+
+def _random_relation(draw, n):
+    """Random cells, made complete or not, or the order of an additive score,
+    which passes every exchange-type check and has a weak-order ground; one
+    cell may then flip."""
+    size = 1 << n
+    kind = draw(st.sampled_from(["cells", "complete", "additive"]))
+    if kind != "additive":
+        cells = draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+        rel = np.array(cells, dtype=bool).reshape(size, size)
+        if kind == "complete":
+            rel |= ~rel.T
+    else:
+        weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        score = (np.arange(size)[:, None] >> np.arange(n) & 1) @ np.array(weights)
+        rel = score[:, None] >= score[None, :]
+    index = st.integers(0, size - 1)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=1)):
+        rel[a, b] = not rel[a, b]
+    return rel
+
+
+@st.composite
+def relation_contexts(draw):
+    """Audit context over 1 <= n <= 4 arguments whose ``lexi`` and ``biposs``
+    relations are drawn at random in place of the rules' own matrices."""
+    n = draw(st.integers(1, MAX_KERNEL_ARGS))
+    ctx = _context(1 << n)
+    for rule in (Rule.LEXI, Rule.BIPOSS):
+        ctx._relations[rule] = RelationSet(_random_relation(draw, n))
+    return ctx
+
+
+def _first_witness(viol, build):
+    hits = np.argwhere(viol)
+    return build(*hits[0]) if len(hits) else None
+
+
+def _defined_witnesses(ctx, w, other):
+    """Each check's first witness from its definition: ``np.argwhere`` over its
+    quantified variables, in its order (the shift's variables, then A, B)."""
+    strict, sym = w & ~w.T, w & w.T
+    m = np.arange(len(w))
+    bits = 1 << np.arange(ctx.space.n)
+    names = ctx.space.names
+    # Grids: one argument or set, then (A, B); two arguments or sets, then (A, B).
+    x1, a1, b1 = np.ix_(bits, m, m)
+    c1 = m[:, None, None]
+    x, xp, a, b = np.ix_(bits, bits, m, m)
+    c, d = m[:, None, None, None], m[None, :, None, None]
+    ax, axp = a | x, a | xp
+    broken_swap = (
+        (strict[ax, b] & ~strict[axp, b]) | (sym[ax, b] & ~w[axp, b])
+        | (strict[b, axp] & ~strict[b, ax]) | (sym[b, axp] & ~w[b, ax])
+    )
+    items = [*bits, 0]
+    g, h = w[np.ix_(items, items)], other[np.ix_(items, items)]
+    labels = (*names, "0")
+    return {
+        "ca": _first_witness(~w[bits, 0] & ~w[0, bits], lambda i: Witness(args=(names[i],))),
+        "sqc": _first_witness(
+            sym[x1, 0] & ((w[a1, b1] != w[a1 | x1, b1]) | (w[a1, b1] != w[a1, b1 | x1])),
+            lambda i, a, b: _witness(ctx, a, b, args=(names[i],))),
+        "xmonotony": _first_witness(
+            (x != xp) & w[xp, x] & ((a & (x | xp)) == 0) & broken_swap,
+            lambda i, j, a, b: _witness(ctx, a, b, args=(names[i], names[j]))),
+        "prefindependence": _first_witness(
+            (c1 > 0) & (((a1 | b1) & c1) == 0) & (w[a1, b1] != w[a1 | c1, b1 | c1]),
+            lambda c, a, b: _witness(ctx, a, b, c)),
+        "anonymity": _first_witness(
+            sym[c, d] & (c != d) & ((a & (c | d)) == 0)
+            & ((w[a | c, b] != w[a | d, b]) | (w[b, a | c] != w[b, a | d])),
+            lambda c, d, a, b: _witness(ctx, a, b, c, d)),
+        "add_indifferent_set": _first_witness(
+            (c1 > 0) & sym[c1, 0] & ((a1 & c1) == 0)
+            & ((w[a1, b1] != w[a1 | c1, b1]) | (w[b1, a1] != w[b1, a1 | c1])),
+            lambda c, a, b: _witness(ctx, a, b, c)),
+        "swap_indifferent_sets": _first_witness(
+            sym[c, d] & (c != d) & (((a | b) & (c | d)) == 0) & (w[a, b] != w[a | c, b | d]),
+            lambda c, d, a, b: _witness(ctx, a, b, c, d)),
+        "swap_indifferent_singletons": _first_witness(
+            sym[x, xp] & ((a & x) == 0) & ((b & xp) == 0) & (w[a, b] != w[a | x, b | xp]),
+            lambda i, j, a, b: _witness(ctx, a, b, args=(names[i], names[j]))),
+        "unbiased_ground": _first_witness(
+            g + 2 * g.T != h + 2 * h.T,
+            lambda i, j: Witness(args=(labels[i], labels[j]), note="unbiased_ground")),
+    }
+
+
+@deterministic
+@given(relation_contexts())
+def test_shift_and_ground_checks_match_their_definitions(ctx):
+    w, other = ctx.rel(Rule.LEXI).weak, ctx.rel(Rule.BIPOSS).weak
+    for name, witness in _defined_witnesses(ctx, w, other).items():
+        assert CHECKS[name].verdict(Rule.LEXI, ctx.universe, context=ctx).witness == witness, name
+    # The ground is a weak order: complete and transitive on singletons and the empty set.
+    items = [*(1 << np.arange(ctx.space.n)), 0]
+    g = w[np.ix_(items, items)]
+    broken = np.argwhere(~g & ~g.T).size + np.argwhere(g[:, :, None] & g & ~g[:, None, :]).size
+    found = CHECKS["simplegrounding"].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
+    assert (found == Witness(note="ground")) == bool(broken)
+
+
+@pytest.mark.parametrize("u, v", [(u, v) for u in range(4) for v in range(4)])
+def test_xmonotony_reads_every_pair_code(u, v):
+    # Two arguments x, x'; every pair is indifferent (code 3) except ({x}, ∅)
+    # and ({x'}, ∅), whose codes are u and v (bit 0: A ≽ B, bit 1: B ≽ A).
+    # Only those two pairs can break xmonotony, so each table cell is read.
+    ctx = _context(4)
+    w = np.ones((4, 4), dtype=bool)
+    for a, code in ((1, u), (2, v)):
+        w[a, 0], w[0, a] = code & 1, code >> 1
+    ctx._relations[Rule.LEXI] = RelationSet(w)
+    expected = _defined_witnesses(ctx, w, w)["xmonotony"]
+    assert CHECKS["xmonotony"].verdict(Rule.LEXI, ctx.universe, context=ctx).witness == expected
