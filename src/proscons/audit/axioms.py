@@ -14,9 +14,13 @@ sweep machinery.
 
 Some sweeps first decide with a cheaper exact kernel and scan for the
 witness only when it finds a violation: transitivity with a matrix product,
-``gclo``/``gneg`` with a subset convolution (``_union_closed``) and the two
-monotony checks with one-argument steps (``_monotone``).  The scanner
-alone names the witness, so the kernel changes no witness or its order.
+``gclo``/``gneg`` with a subset convolution (``_union_closed``).  The
+scanner alone names the witness, so the kernel changes no witness or its
+order.  The monotony checks decide and name in one pass: a subset transform
+over the side's bits marks the weak pairs that break, and the first one's
+block of (C, C′) names the rest.  ``neg`` and the union part of ``clo``
+read one (A, B, C) gather (``_row_unions``).  Every rectangular gather is
+one ``take`` pass per axis (``_gather``).
 
 The exchange-type checks (``sqc``, ``xmonotony``, ``prefindependence``,
 ``anonymity`` and the three independence corollaries) compare a relation on
@@ -37,7 +41,7 @@ import numpy as np
 
 from ..core import DecisionUniverse, Outcome
 from ..rules import Rule, compare, ground_relation
-from .matrices import AuditContext, admit
+from .matrices import AuditContext, admit, context_for
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
@@ -114,10 +118,10 @@ class Check:
     ``sweep(context, rule)`` quantifies over the universe's profiles with
     the relation matrices and returns the first witness, or ``None``;
     sweeps name a witness's profile masks through ``_witness``.  For
-    ``gclo``, ``gneg``, ``posmonotony`` and ``negmonotony`` (and the
-    transitivity checks) the sweep decides with a closure kernel, and only
-    on a violation does its scanner run and name the first witness in the
-    documented order.
+    ``gclo`` and ``gneg`` (and the transitivity checks) the sweep decides
+    with a closure kernel, and only on a violation does its scanner run and
+    name the first witness in the documented order; the monotony sweeps
+    decide and name in one pass.
     The exchange-type sweeps list their shifts for ``_shift_scan``, which
     names the first shift, then the first (A, B) row-major, that breaks.
     ``replay(rule, universe, witness)`` re-checks a witness through the
@@ -137,10 +141,10 @@ class Check:
         *,
         context: AuditContext | None = None,
     ) -> AuditVerdict:
-        """Run the sweep on one universe; trivial or over-bound ones are refused."""
+        """Run the sweep on one universe; trivial or over-bound ones are refused,
+        and so is a ``context`` built for another universe."""
         admit(universe, self.bound)
-        ctx = context if context is not None else AuditContext(universe)
-        witness = self.sweep(ctx, rule)
+        witness = self.sweep(context_for(universe, context), rule)
         return AuditVerdict(self.name, rule, witness is None, witness)
 
 
@@ -165,22 +169,22 @@ def _pair_witness(ctx: AuditContext, viol: np.ndarray, note: str = "") -> Witnes
     return None if hit is None else _witness(ctx, *hit, note=note)
 
 
-def _shift_scan(ctx: AuditContext, values: np.ndarray, shifts, differ) -> Witness | None:
+def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
+    """``values[rows[i], cols[j]]`` at (i, j): one ``take`` pass per axis."""
+    return values.take(rows, axis=0).take(cols, axis=1)
+
+
+def _shift_scan(values: np.ndarray, shifts, differ) -> Witness | None:
     """Witness at the first shift, then the first (A, B) row-major, that ``differ`` flags.
 
-    ``values`` is a relation matrix, read flat with pair (A, B) at
-    ``A << n | B``.  A shift is ``(rows, cols, views, tail)``: A ranges over
-    ``rows`` and B over ``cols``, both ascending; each view ``(r, c)`` reads
-    the pair (A | r, B | c), and ``differ`` maps the views to a (rows, cols)
-    mask.  ``tail(A, B)`` builds the witness; it is called before the next
-    shift is drawn, so ``shifts`` may be a generator.
+    ``values`` is a relation matrix.  A shift is ``(rows, cols, views,
+    tail)``: A ranges over ``rows`` and B over ``cols``, both ascending; each
+    view ``(r, c)`` gathers the pair (A | r, B | c), and ``differ`` maps the
+    views to a (rows, cols) mask.  ``tail(A, B)`` builds the witness; it is
+    called before the next shift is drawn, so ``shifts`` may be a generator.
     """
-    flat = values.reshape(-1)
-    n = ctx.space.n
     for rows, cols, views, tail in shifts:
-        hit = _first(differ(*(
-            flat[(rows | r)[:, None] << n | (cols | c)[None, :]] for r, c in views
-        )))
+        hit = _first(differ(*(_gather(values, rows | r, cols | c) for r, c in views)))
         if hit:
             return tail(rows[hit[0]], cols[hit[1]])
     return None
@@ -199,7 +203,7 @@ def _indifferent_pairs(rel) -> list[list[int]]:
 def _ground(ctx: AuditContext, rule: Rule) -> np.ndarray:
     """The weak relation on the singletons, in argument order, then the empty profile."""
     items = [1 << i for i in range(ctx.space.n)] + [0]
-    return ctx.rel(rule).weak[np.ix_(items, items)]
+    return _gather(ctx.rel(rule).weak, items, items)
 
 
 def _reach(base: np.ndarray) -> np.ndarray:
@@ -216,69 +220,46 @@ def _check_ca(ctx: AuditContext, rule: Rule):
 def _check_sqc(ctx: AuditContext, rule: Rule):
     # Shifts: the arguments the rule itself deems worthless, by index.
     rel = ctx.rel(rule)
-    masks = np.arange(ctx.space.size)
+    masks = ctx.space.masks
     shifts = ((masks, masks, ((0, 0), (1 << i, 0), (0, 1 << i)),
                lambda a, b: _witness(ctx, a, b, args=(name,)))
               for i, name in enumerate(ctx.space.names) if rel.sym[1 << i, 0])
-    return _shift_scan(ctx, rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
-
-
-def _monotone(weak: np.ndarray, side: int, *, positive: bool) -> bool:
-    """Whether ``weak`` keeps every pair under one-argument steps on ``side``.
-
-    The steps are adding one ``side`` argument to the row profile, and
-    separately removing one from the column profile (the reverse for
-    ``positive=False``).  Both are instances of the monotony axiom, and
-    chains of them reach every (A ∪ C, B ∖ C′), so this decides it.
-    """
-    masks = np.arange(len(weak))
-    while side:
-        bit = side & -side
-        side ^= bit
-        grow, shrink = masks | bit, masks & ~bit
-        rows, cols = (grow, shrink) if positive else (shrink, grow)
-        if (weak & ~weak[rows, :]).any() or (weak & ~weak[:, cols]).any():
-            return False
-    return True
+    return _shift_scan(rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
 
 
 def _monotony_scan(ctx, weak, side, *, positive: bool):
-    # Enumeration order: (A, B) row-major over weak pairs, then (C, C') row-major.
+    """First (A, B, C, C′), C and C′ within ``side``, with A ≽ B but not
+    A ∪ C ≽ B ∖ C′ (``positive``) or not A ∖ C ≽ B ∪ C′.
+
+    ¬weak, spread over the side's bits from supersets to subsets on one
+    axis and from subsets to supersets on the other, marks each (A, B) that
+    some (C, C′) breaks.  The first weak one is (A, B); (C, C′) is the
+    first of its block in row-major order.
+    """
+    n = ctx.space.n
+    bits = [i for i in range(n) if side >> i & 1]
+    broken = ~weak.reshape(-1)
+    _subset_transform(broken, np.logical_or, [n + i for i in bits], up=not positive)
+    _subset_transform(broken, np.logical_or, bits, up=positive)
+    hit = _first(weak & broken.reshape(weak.shape))
+    if hit is None:
+        return None
+    a, b = hit
     subs = ctx.space.submasks(side)
-    pairs = np.argwhere(weak)
-    for start in range(0, len(pairs), _PAIR_BLOCK):
-        block = pairs[start : start + _PAIR_BLOCK]
-        a, b = block[:, 0], block[:, 1]
-        if positive:
-            rows = a[:, None] | subs[None, :]
-            cols = b[:, None] & ~subs[None, :]
-        else:
-            rows = a[:, None] & ~subs[None, :]
-            cols = b[:, None] | subs[None, :]
-        ok = weak[rows[:, :, None], cols[:, None, :]]
-        hit = _first(~ok)
-        if hit:
-            k, ci, cj = hit
-            return _witness(ctx, a[k], b[k], subs[ci], subs[cj])
-    return None
+    rows, cols = (a | subs, b & ~subs) if positive else (a & ~subs, b | subs)
+    c, cp = _first(~_gather(weak, rows, cols))
+    return _witness(ctx, a, b, subs[c], subs[cp])
 
 
 def _monotony(ctx, rule, *, positive: bool):
-    weak = ctx.rel(rule).weak
     side = ctx.space.pos_mask if positive else ctx.space.neg_mask
-    if _monotone(weak, side, positive=positive):
-        return None
-    return _monotony_scan(ctx, weak, side, positive=positive)
+    return _monotony_scan(ctx, ctx.rel(rule).weak, side, positive=positive)
 
 
 def _check_weakunanimity(ctx, rule):
-    rel = ctx.rel(rule)
-    space = ctx.space
-    masks = np.arange(space.size, dtype=np.int64)
-    pos = masks & space.pos_mask
-    neg = masks & space.neg_mask
-    cond = rel.weak[pos[:, None], pos[None, :]] & rel.weak[neg[:, None], neg[None, :]]
-    return _pair_witness(ctx, cond & ~rel.weak)
+    weak, masks = ctx.rel(rule).weak, ctx.space.masks
+    pos, neg = masks & ctx.space.pos_mask, masks & ctx.space.neg_mask
+    return _pair_witness(ctx, _gather(weak, pos, pos) & _gather(weak, neg, neg) & ~weak)
 
 
 def _check_nontriviality(ctx, rule):
@@ -299,11 +280,11 @@ def _check_xmonotony(ctx, rule):
     # Shifts: (x, x') by argument index, x ≠ x' and x' ≽ x.
     rel = ctx.rel(rule)
     space = ctx.space
-    shifts = ((space.disjoint_from(1 << i | 1 << j), np.arange(space.size),
+    shifts = ((space.disjoint_from(1 << i | 1 << j), space.masks,
                ((1 << i, 0), (1 << j, 0)), lambda a, b: _witness(ctx, a, b, args=(x, xp)))
               for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
               if i != j and rel.weak[1 << j, 1 << i])
-    return _shift_scan(ctx, _pair_codes(rel.weak), shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
+    return _shift_scan(_pair_codes(rel.weak), shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
 
 
 def _cancellation(ctx, rule, *, positive: bool):
@@ -322,51 +303,41 @@ def _cancellation(ctx, rule, *, positive: bool):
     return None
 
 
+def _row_unions(values: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """(A, B, C) over ``subs`` with ``values`` at (A, B) and (A, C) but not (A, B ∪ C)."""
+    rows = values.take(subs, axis=0)
+    pairs = rows.take(subs, axis=1)
+    union = rows.take(subs[:, None] | subs[None, :], axis=1)
+    return pairs[:, :, None] & pairs[:, None, :] & ~union
+
+
 def _check_neg(ctx, rule):
-    rel = ctx.rel(rule)
-    space = ctx.space
-    subs = space.submasks(space.pos_mask)
-    union = subs[:, None] | subs[None, :]
-    for a in subs:
-        row = rel.strict[a]
-        sa = row[subs]
-        if not sa.any():
-            continue
-        hit = _first(sa[:, None] & sa[None, :] & ~row[union])
-        if hit:
-            bi, cj = hit
-            return _witness(ctx, a, subs[bi], subs[cj])
-    return None
+    subs = ctx.space.submasks(ctx.space.pos_mask)
+    hit = _first(_row_unions(ctx.rel(rule).strict, subs))
+    return None if hit is None else _witness(ctx, *subs[list(hit)])
 
 
 def _check_clo(ctx, rule):
     rel = ctx.rel(rule)
-    space = ctx.space
-    subs = space.submasks(space.pos_mask)
-    union = subs[:, None] | subs[None, :]
-    for a in subs:
-        sym_row = rel.sym[a]
-        ya = sym_row[subs]
-        if ya.any():
-            hit = _first(ya[:, None] & ya[None, :] & ~sym_row[union])
-            if hit:
-                bi, cj = hit
-                return _witness(ctx, a, subs[bi], subs[cj], note="union")
-    absorb = rel.weak[np.ix_(subs, subs)] & ~rel.sym[subs[:, None], union]
-    hit = _first(absorb)
-    if hit:
-        bi, cj = hit
-        return _witness(ctx, subs[bi], subs[cj], note="absorb")
+    subs = ctx.space.submasks(ctx.space.pos_mask)
+    union = np.take_along_axis(rel.sym.take(subs, axis=0), subs[:, None] | subs[None, :], axis=1)
+    for note, viol in (("union", _row_unions(rel.sym, subs)),
+                       ("absorb", _gather(rel.weak, subs, subs) & ~union)):
+        hit = _first(viol)
+        if hit:
+            return _witness(ctx, *subs[list(hit)], note=note)
     return None
 
 
-def _subset_transform(values: np.ndarray, op) -> None:
-    """Zeta (``np.add``) or Möbius (``np.subtract``) transform, in place,
-    over the subsets indexing a C-contiguous vector."""
-    size = len(values)
-    for i in range(size.bit_length() - 1):
-        view = values.reshape(-1, 2, 1 << i)
-        op(view[:, 1], view[:, 0], out=view[:, 1])
+def _subset_transform(values: np.ndarray, op, bits, *, up: bool = True) -> None:
+    """Zeta (``np.add``, or ``np.logical_or``) or Möbius (``np.subtract``)
+    transform, in place, over ``bits`` of the index of a C-contiguous vector:
+    ``up`` carries each subset's value to its supersets, else the reverse."""
+    for bit in bits:
+        view = values.reshape(-1, 2, 1 << bit)
+        low, high = view[:, 0], view[:, 1]
+        dst, src = (high, low) if up else (low, high)
+        op(dst, src, out=dst)
 
 
 def _union_closed(base: np.ndarray) -> bool:
@@ -380,9 +351,10 @@ def _union_closed(base: np.ndarray) -> bool:
     numpy calls; the counts stay below 2^(4n) in int64.
     """
     counts = base.astype(np.int64).reshape(-1)
-    _subset_transform(counts, np.add)
+    bits = range(counts.size.bit_length() - 1)
+    _subset_transform(counts, np.add, bits)
     counts *= counts
-    _subset_transform(counts, np.subtract)
+    _subset_transform(counts, np.subtract, bits)
     return not (counts.reshape(base.shape).astype(bool) & ~base).any()
 
 
@@ -433,7 +405,7 @@ def _check_prefindependence(ctx, rule):
             rest = ctx.space.disjoint_from(c)
             yield rest, rest, ((0, 0), (c, c)), lambda a, b: _witness(ctx, a, b, c)
 
-    return _shift_scan(ctx, ctx.rel(rule).weak, shifts(), np.not_equal)
+    return _shift_scan(ctx.rel(rule).weak, shifts(), np.not_equal)
 
 
 def _check_completeness(ctx, rule):
@@ -470,10 +442,10 @@ def _check_simplegrounding(ctx, rule):
 def _check_anonymity(ctx, rule):
     # Shifts: (C, D) row-major over indifferent pairs; A is disjoint from both.
     rel = ctx.rel(rule)
-    shifts = ((ctx.space.disjoint_from(c | d), np.arange(ctx.space.size), ((c, 0), (d, 0)),
+    shifts = ((ctx.space.disjoint_from(c | d), ctx.space.masks, ((c, 0), (d, 0)),
                lambda a, b: _witness(ctx, a, b, c, d))
               for c, d in _indifferent_pairs(rel))
-    return _shift_scan(ctx, _pair_codes(rel.weak), shifts, np.not_equal)
+    return _shift_scan(_pair_codes(rel.weak), shifts, np.not_equal)
 
 
 # ---------------------------------------------------------------------------

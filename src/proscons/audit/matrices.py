@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import DecisionUniverse, TrivialUniverseError
+from ..core import DecisionUniverse, TrivialUniverseError, UniverseMismatchError
 from ..encodings import default_base
 from ..rules import Rule
 from .space import PAIRWISE_BOUND, ProfileSpace, guard_size
@@ -51,8 +51,7 @@ def _impl_weak(space: ProfileSpace) -> np.ndarray:
 
 
 def _discri_weak(space: ProfileSpace) -> np.ndarray:
-    omp, omn = space.omp, space.omn
-    masks = np.arange(space.size, dtype=np.int64)
+    omp, omn, masks = space.omp, space.omn, space.masks
     weak = np.empty((space.size, space.size), dtype=bool)
     for start in range(0, space.size, _ROW_BLOCK):
         rows = masks[start : start + _ROW_BLOCK]
@@ -204,3 +203,12 @@ class AuditContext:
         if rule not in self._relations:
             self._relations[rule] = RelationSet(weak_matrix(self.space, rule))
         return self._relations[rule]
+
+
+def context_for(universe: DecisionUniverse, context: AuditContext | None) -> AuditContext:
+    """``context``, refused unless it was built for ``universe``; else a new one."""
+    if context is None:
+        return AuditContext(universe)
+    if context.universe is not universe and context.universe != universe:
+        raise UniverseMismatchError("the audit context was built for another universe")
+    return context

@@ -44,6 +44,7 @@ from .matrices import (
     AuditContext,
     admit,
     capacity_bilexi_weak_matrix,
+    context_for,
     impl_cases_weak,
     np_weak_matrix,
 )
@@ -135,7 +136,7 @@ def find_strictness_witness(
     context: AuditContext | None = None,
 ) -> Witness | None:
     """First pair the coarse rule leaves unresolved but the fine rule decides."""
-    ctx = context if context is not None else AuditContext(universe)
+    ctx = context_for(universe, context)
     return _pair_witness(ctx, ctx.rel(fine).strict & ~ctx.rel(coarse).strict)
 
 
@@ -179,10 +180,10 @@ def _check_add_indifferent_set(ctx, rule):
     # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
     # Shifts: C ascending.
     rel = ctx.rel(rule)
-    shifts = ((ctx.space.disjoint_from(c), np.arange(ctx.space.size), ((0, 0), (c, 0)),
+    shifts = ((ctx.space.disjoint_from(c), ctx.space.masks, ((0, 0), (c, 0)),
                lambda a, b: _witness(ctx, a, b, c))
               for c in range(1, ctx.space.size) if rel.sym[c, 0])
-    return _shift_scan(ctx, _pair_codes(rel.weak), shifts, np.not_equal)
+    return _shift_scan(_pair_codes(rel.weak), shifts, np.not_equal)
 
 
 def _check_swap_indifferent_sets(ctx, rule):
@@ -195,7 +196,7 @@ def _check_swap_indifferent_sets(ctx, rule):
             free = ctx.space.disjoint_from(c | d)
             yield free, free, ((0, 0), (c, d)), lambda a, b: _witness(ctx, a, b, c, d)
 
-    return _shift_scan(ctx, rel.weak, shifts(), np.not_equal)
+    return _shift_scan(rel.weak, shifts(), np.not_equal)
 
 
 def _check_swap_indifferent_singletons(ctx, rule):
@@ -207,7 +208,7 @@ def _check_swap_indifferent_singletons(ctx, rule):
                ((0, 0), (1 << i, 1 << j)), lambda a, b: _witness(ctx, a, b, args=(x, y)))
               for i, x in enumerate(space.names) for j, y in enumerate(space.names)
               if rel.sym[1 << i, 1 << j])
-    return _shift_scan(ctx, rel.weak, shifts, np.not_equal)
+    return _shift_scan(rel.weak, shifts, np.not_equal)
 
 
 def _replay_add_indifferent_set(rule, u, w):
@@ -379,7 +380,7 @@ def _run(
     before any of them runs; ``stop`` ends the run at the first failure.
     """
     admit(universe, _tightest(plan))
-    ctx = context if context is not None else AuditContext(universe)
+    ctx = context_for(universe, context)
     out: dict[str, AuditVerdict] = {}
     for key, check, rule in plan:
         out[key] = verdict = CHECKS[check].verdict(rule, universe, context=ctx)

@@ -3,7 +3,9 @@
 Subset ``m`` of a universe (``0 <= m < 2**n``) contains argument ``i``
 iff bit ``i`` of ``m`` is set, with arguments in declaration order.  That
 makes the subset index double as the array index, so per-profile
-statistics and whole relation matrices stay vectorised.
+statistics and whole relation matrices stay vectorised.  A space keeps its
+masks in one table: the statistics come from its bit table, and submasks
+are selected from it, not walked.
 """
 
 from __future__ import annotations
@@ -57,28 +59,19 @@ class ProfileSpace:
             [a.polarity is Polarity.CON and not a.is_null for a in args], dtype=bool
         )
 
-        self.pos_mask = _mask_of_flags(is_pro)
-        self.neg_mask = _mask_of_flags(is_con)
+        bits = 1 << np.arange(self.n, dtype=np.int64)
+        self.pos_mask = int(bits[is_pro].sum())
+        self.neg_mask = int(bits[is_con].sum())
         self.full_mask = self.size - 1
+        self.masks = np.arange(self.size, dtype=np.int64)
 
-        # Per-subset stats, filled by peeling off the lowest set bit.
-        self.pos_counts = np.zeros((self.size, num_levels), dtype=np.int16)
-        self.neg_counts = np.zeros((self.size, num_levels), dtype=np.int16)
-        self.omp = np.zeros(self.size, dtype=np.int16)
-        self.omn = np.zeros(self.size, dtype=np.int16)
-        for m in range(1, self.size):
-            low = m & (m - 1)
-            i = (m ^ low).bit_length() - 1
-            self.pos_counts[m] = self.pos_counts[low]
-            self.neg_counts[m] = self.neg_counts[low]
-            self.omp[m] = self.omp[low]
-            self.omn[m] = self.omn[low]
-            if is_pro[i]:
-                self.pos_counts[m, level[i]] += 1
-                self.omp[m] = max(self.omp[low], level[i])
-            elif is_con[i]:
-                self.neg_counts[m, level[i]] += 1
-                self.omn[m] = max(self.omn[low], level[i])
+        # Per-subset stats from the bit table: held[m, i] is bit i of mask m.
+        held = (self.masks[:, None] >> np.arange(self.n) & 1).astype(bool)
+        at_level = (level[:, None] == np.arange(num_levels)).astype(np.int16)
+        self.pos_counts = (held & is_pro).astype(np.int16) @ at_level
+        self.neg_counts = (held & is_con).astype(np.int16) @ at_level
+        self.omp = np.where(held & is_pro, level, 0).max(axis=1, initial=0)
+        self.omn = np.where(held & is_con, level, 0).max(axis=1, initial=0)
 
     # -- conversions -----------------------------------------------------
 
@@ -97,26 +90,11 @@ class ProfileSpace:
 
     def submasks(self, mask: int) -> np.ndarray:
         """All submasks of ``mask`` in increasing numeric order."""
-        subs = []
-        s = 0
-        while True:
-            subs.append(s)
-            if s == mask:
-                break
-            s = (s - mask) & mask
-        return np.array(subs, dtype=np.int64)
+        return self.masks[(self.masks & ~mask) == 0]
 
     def disjoint_from(self, mask: int) -> np.ndarray:
         """All profiles sharing no argument with ``mask``, increasing order."""
         return self.submasks(self.full_mask & ~mask)
-
-
-def _mask_of_flags(flags) -> int:
-    mask = 0
-    for i, f in enumerate(flags):
-        if f:
-            mask |= 1 << i
-    return mask
 
 
 def enumerate_profiles(

@@ -3,9 +3,17 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from proscons import Outcome, Rule, TrivialUniverseError, compare
+from proscons import (
+    DecisionUniverse,
+    Outcome,
+    Rule,
+    TrivialUniverseError,
+    UniverseMismatchError,
+    compare,
+)
 from proscons.audit import (
     CHECKS,
     PROPOSITIONS,
@@ -34,7 +42,6 @@ from proscons.audit import (
 )
 from proscons.audit.axioms import (
     _combination_scan,
-    _monotone,
     _monotony_scan,
     _union_closed,
 )
@@ -49,6 +56,7 @@ TUPLE_CHECKS = (
     "sqc", "xmonotony", "prefindependence", "anonymity", "add_indifferent_set",
     "swap_indifferent_sets", "swap_indifferent_singletons", "simplegrounding",
     "unbiased_ground", "transitivity", "quasitransitivity", "sym_transitive",
+    "ca", "weakunanimity", "neg", "clo", "posefficiency", "negefficiency",
 )
 
 
@@ -152,6 +160,20 @@ class TestCheckAxiom:
         with pytest.raises(UniverseTooLargeError):
             check_axiom(Axiom.GNEG, Rule.BIPOSS, u)
         assert check_axiom(Axiom.COMPLETENESS, Rule.BIPOSS, u).holds
+
+    def test_context_for_another_universe_refused(self, luc, lucy, luka):
+        # A verdict on luc with a luka witness would not replay on luc.
+        ctx = AuditContext(luka.universe)
+        with pytest.raises(UniverseMismatchError):
+            check_axiom(Axiom.POS_EFFICIENCY, Rule.BIPOSS, luc.universe, context=ctx)
+        with pytest.raises(UniverseMismatchError):
+            find_strictness_witness(Rule.BIPOSS, Rule.LEXI, luc.universe, context=ctx)
+        with pytest.raises(UniverseMismatchError):
+            theorem2_bundle(Rule.LEXI, lucy.universe, context=ctx)
+        twin = DecisionUniverse(luka.universe.scale, luka.universe.arguments)
+        assert check_axiom(Axiom.POS_EFFICIENCY, Rule.BIPOSS, twin, context=ctx) == (
+            check_axiom(Axiom.POS_EFFICIENCY, Rule.BIPOSS, luka.universe)
+        )
 
     def test_deterministic_witness(self, lucy):
         first = check_axiom(Axiom.COMPLETENESS, Rule.PARETO, lucy.universe)
@@ -320,8 +342,9 @@ class TestWitnessReplayGallery:
 
 
 class TestClosureKernels:
-    # The kernels decide gclo, gneg and the monotony checks; the scanners
-    # name the witness.  Both must agree on every universe of the range.
+    # The union kernel decides gclo and gneg, and its scanner names the
+    # witness; the monotony scan decides and names in one pass.  Each must
+    # agree with its definition on every universe of the range.
     def test_kernels_agree_with_scanners(self):
         failures = 0
         for u in iter_universes(4, 3):
@@ -339,7 +362,12 @@ class TestClosureKernels:
                     (Axiom.NEG_MONOTONY, space.neg_mask, False),
                 ):
                     found = _monotony_scan(ctx, rel.weak, side, positive=positive)
-                    assert _monotone(rel.weak, side, positive=positive) == (found is None)
+                    m = np.arange(space.size)
+                    subs = m[(m & ~side) == 0]
+                    a, b, c, cp = np.ix_(m, m, subs, subs)
+                    rows, cols = (a | c, b & ~cp) if positive else (a & ~c, b | cp)
+                    broken = rel.weak[a, b] & ~rel.weak[rows, cols]
+                    assert (found is None) == (not broken.any())
                     assert check_axiom(axiom, rule, u, context=ctx).witness == found
                     failures += found is not None
         assert failures == 726
@@ -348,7 +376,8 @@ class TestClosureKernels:
     def test_witnesses_are_pinned(self, case):
         # Recorded by independent code: the closure checks by their scanners
         # alone, with no kernel deciding; the exchange-type and ground checks
-        # by one loop per check and the scalar ground relation.
+        # by one loop per check and the scalar ground relation; the six checks
+        # listed last by row-by-row sweeps over the walked submasks.
         u = next(u for u in iter_universes(3, 3)
                  if " ".join(a.name for a in u.arguments) == case["universe"])
         ctx = AuditContext(u)

@@ -3,9 +3,10 @@
 The audit harness enumerates every profile only up to 12 arguments; these
 tests draw universes of up to 60 arguments on up to 30 levels and check,
 through the scalar functions, the claims the sweeps certify on small ones.
-The closure kernels, the shift-scan checks and the ground checks are held
-to their definitions on random relations, which break the axioms far more
-often than the rules do.
+The closure kernels, the shift-scan, ground, union and pairwise checks are
+held to their definitions on random relations, which break the axioms far
+more often than the rules do; the profile space is held to the scalar
+profiles.
 """
 
 import numpy as np
@@ -28,10 +29,9 @@ from proscons import (
     complete_polar_opposites,
     ttb_compare,
 )
-from proscons.audit import CHECKS, AuditContext, Witness
+from proscons.audit import CHECKS, PAIRWISE_BOUND, AuditContext, ProfileSpace, Witness
 from proscons.audit.axioms import (
     _combination_scan,
-    _monotone,
     _monotony_scan,
     _union_closed,
     _witness,
@@ -101,6 +101,40 @@ def test_numeric_and_case_split_routes_agree(pair):
     assert compare_np(a, b) is compare(Rule.LEXI, a, b)
     assert compare_bilexi_np(a, b) is compare(Rule.BILEXI, a, b)
     assert compare_impl(a, b) is compare_impl_cases(a, b)
+
+
+@st.composite
+def spaces(draw):
+    """A universe of up to ``PAIRWISE_BOUND`` arguments and a few of its profile masks."""
+    num_levels = draw(st.integers(2, MAX_LEVELS))
+    num_args = draw(st.integers(0, PAIRWISE_BOUND))
+    specs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(list(Polarity)), st.integers(0, num_levels - 1)),
+            min_size=num_args,
+            max_size=num_args,
+        )
+    )
+    scale = ImportanceScale(tuple(f"l{i}" for i in range(num_levels)))
+    universe = DecisionUniverse(
+        scale, tuple(Argument(f"x{i}", pol, lvl) for i, (pol, lvl) in enumerate(specs))
+    )
+    masks = draw(st.lists(st.integers(0, (1 << num_args) - 1), min_size=1, max_size=8))
+    return universe, masks
+
+
+@deterministic
+@given(spaces())
+def test_profile_space_rows_are_the_scalar_profiles(case):
+    universe, masks = case
+    space = ProfileSpace(universe)
+    names = [a.name for a in universe.arguments]
+    for m in masks:
+        p = universe.option(name for i, name in enumerate(names) if m >> i & 1)
+        assert tuple(space.pos_counts[m]) == p.pos_level_counts
+        assert tuple(space.neg_counts[m]) == p.neg_level_counts
+        assert (space.omp[m], space.omn[m]) == (p.om_pos, p.om_neg)
+        assert space.submasks(m).tolist() == [s for s in range(1 << len(names)) if not s & ~m]
 
 
 @st.composite
@@ -185,10 +219,12 @@ def relations(draw):
     return rel, side, positive
 
 
-def _context(size):
-    """Audit context over ``log2(size)`` pro arguments, to name scanner witnesses."""
+def _context(size, cons=0):
+    """Audit context over ``log2(size)`` arguments, to name scanner witnesses;
+    argument i is a con if bit i of ``cons`` is set, else a pro."""
     scale = ImportanceScale(("l0", "l1"))
-    args = tuple(Argument(f"x{i}", Polarity.PRO, 1) for i in range(size.bit_length() - 1))
+    args = tuple(Argument(f"x{i}", Polarity.CON if cons >> i & 1 else Polarity.PRO, 1)
+                 for i in range(size.bit_length() - 1))
     return AuditContext(DecisionUniverse(scale, args))
 
 
@@ -214,11 +250,14 @@ def test_monotony_kernel_matches_its_definition(case):
     a, b, c, cp = np.ix_(m, m, subs, subs)
     rows, cols = (a | c, b & ~cp) if positive else (a & ~c, b | cp)
     viol = rel[a, b] & ~rel[rows, cols]
-    assert _monotone(rel, side, positive=positive) == (not viol.any())
-    if viol.any():  # the scanner names the lexicographically first (A, B, C, C')
-        ctx = _context(len(rel))
+    if len(rel) == 1:  # the n = 0 draw has no argument and no step
+        assert not viol.any()
+        return
+    ctx = _context(len(rel))
+    found = _monotony_scan(ctx, rel, side, positive=positive)
+    assert (found is None) == (not viol.any())
+    if viol.any():  # the scan names the lexicographically first (A, B, C, C')
         k, l, i, j = np.argwhere(viol)[0]
-        found = _monotony_scan(ctx, rel, side, positive=positive)
         assert found == _witness(ctx, k, l, subs[i], subs[j])
 
 
@@ -245,10 +284,10 @@ def _random_relation(draw, n):
 
 @st.composite
 def relation_contexts(draw):
-    """Audit context over 1 <= n <= 4 arguments whose ``lexi`` and ``biposs``
-    relations are drawn at random in place of the rules' own matrices."""
+    """Audit context over 1 <= n <= 4 pro and con arguments whose ``lexi`` and
+    ``biposs`` relations are drawn at random in place of the rules' own matrices."""
     n = draw(st.integers(1, MAX_KERNEL_ARGS))
-    ctx = _context(1 << n)
+    ctx = _context(1 << n, draw(st.just(0) | st.integers(0, (1 << n) - 1)))
     for rule in (Rule.LEXI, Rule.BIPOSS):
         ctx._relations[rule] = RelationSet(_random_relation(draw, n))
     return ctx
@@ -261,11 +300,21 @@ def _first_witness(viol, build):
 
 def _defined_witnesses(ctx, w, other):
     """Each check's first witness from its definition: ``np.argwhere`` over its
-    quantified variables, in its order (the shift's variables, then A, B)."""
+    quantified variables, in its order (the shift's variables, then A, B; the
+    union checks' A, B, C over the sets of pros; the efficiency checks' A,
+    then B within it)."""
     strict, sym = w & ~w.T, w & w.T
     m = np.arange(len(w))
     bits = 1 << np.arange(ctx.space.n)
     names = ctx.space.names
+    pos = sum(int(bit) for bit, name in zip(bits, names) if name in ctx.universe.pros)
+    neg = sum(int(bit) for bit, name in zip(bits, names) if name in ctx.universe.cons)
+    # Grids: (A, B, C) and (B, C) over the sets of pros; (A, B) over every set.
+    subs = m[(m & ~pos) == 0]
+    a3, b3, c3 = np.ix_(subs, subs, subs)
+    bs, cs = np.ix_(subs, subs)
+    a2, b2 = np.ix_(m, m)
+    within = (b2 & ~a2) == 0
     # Grids: one argument or set, then (A, B); two arguments or sets, then (A, B).
     x1, a1, b1 = np.ix_(bits, m, m)
     c1 = m[:, None, None]
@@ -279,6 +328,12 @@ def _defined_witnesses(ctx, w, other):
     items = [*bits, 0]
     g, h = w[np.ix_(items, items)], other[np.ix_(items, items)]
     labels = (*names, "0")
+    union = _first_witness(
+        sym[a3, b3] & sym[a3, c3] & ~sym[a3, b3 | c3],
+        lambda i, j, k: _witness(ctx, subs[i], subs[j], subs[k], note="union"))
+    absorb = _first_witness(
+        w[bs, cs] & ~sym[bs, bs | cs],
+        lambda i, j: _witness(ctx, subs[i], subs[j], note="absorb"))
     return {
         "ca": _first_witness(~w[bits, 0] & ~w[0, bits], lambda i: Witness(args=(names[i],))),
         "sqc": _first_witness(
@@ -307,6 +362,17 @@ def _defined_witnesses(ctx, w, other):
         "unbiased_ground": _first_witness(
             g + 2 * g.T != h + 2 * h.T,
             lambda i, j: Witness(args=(labels[i], labels[j]), note="unbiased_ground")),
+        "neg": _first_witness(
+            strict[a3, b3] & strict[a3, c3] & ~strict[a3, b3 | c3],
+            lambda i, j, k: _witness(ctx, subs[i], subs[j], subs[k])),
+        "clo": union if union is not None else absorb,
+        "weakunanimity": _first_witness(
+            w[a2 & pos, b2 & pos] & w[a2 & neg, b2 & neg] & ~w[a2, b2],
+            lambda a, b: _witness(ctx, a, b)),
+        "posefficiency": _first_witness(
+            within & strict[a2 ^ b2, 0] & ~strict[a2, b2], lambda a, b: _witness(ctx, a, b)),
+        "negefficiency": _first_witness(
+            within & strict[0, a2 ^ b2] & ~strict[b2, a2], lambda a, b: _witness(ctx, a, b)),
     }
 
 
