@@ -33,44 +33,17 @@ relation from the weak matrix, at the singletons and the empty profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..core import DecisionUniverse, Outcome
-from ..rules import Rule, compare, ground_relation
+from ..rules import Axiom, Rule, compare, ground_relation
 from .matrices import AuditContext, admit, context_for
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
-
-
-class Axiom(Enum):
-    """Named properties a comparison rule may or may not satisfy."""
-
-    CA = "ca"                              # every argument comparable to nothing
-    SQC = "sqc"                            # null arguments never matter
-    POS_MONOTONY = "posmonotony"           # extra pros never hurt the winner
-    NEG_MONOTONY = "negmonotony"           # extra cons never help the loser
-    WEAK_UNANIMITY = "weakunanimity"       # winning both ledgers wins overall
-    NON_TRIVIALITY = "nontriviality"       # all pros beat all cons
-    X_MONOTONY = "xmonotony"               # swapping in a stronger argument keeps wins
-    POSC = "posc"                          # pros blocked by the same con are equal
-    NEGC = "negc"                          # cons blocked by the same pro are equal
-    NEG = "neg"                            # beating two positive sets beats their union
-    CLO = "clo"                            # indifference to two positive sets survives union
-    GNEG = "gneg"                          # strict preferences combine across unions
-    GCLO = "gclo"                          # weak preferences combine across unions
-    POS_EFFICIENCY = "posefficiency"       # strictly good surplus forces strict preference
-    NEG_EFFICIENCY = "negefficiency"       # strictly bad surplus forces strict dispreference
-    PREF_INDEPENDENCE = "prefindependence"  # shared arguments never matter
-    COMPLETENESS = "completeness"
-    QUASI_TRANSITIVITY = "quasitransitivity"
-    TRANSITIVITY = "transitivity"
-    SIMPLE_GROUNDING = "simplegrounding"   # weak-order ground + xmonotony + posc + negc
-    ANONYMITY = "anonymity"                # indifferent disjoint sets are interchangeable
 
 
 @dataclass(frozen=True)

@@ -27,20 +27,14 @@ from .problem import (
     load_problem,
     read_problem,
 )
-from .rules import Rule, compare
-from .audit import (
-    BUNDLES,
-    PROPOSITIONS,
-    AuditVerdict,
-    Axiom,
-    replay_witness,
-    sweep,
-    sweep_range,
-)
+from .rules import Axiom, Rule, compare
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
+
+# The names of ``proscons.audit.BUNDLES``: only ``audit`` loads the harness and numpy.
+BUNDLE_NAMES = ("theorem1", "theorem2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -290,18 +284,19 @@ def _parse_generate(bounds: str) -> tuple[int, int]:
 
 
 def _universe_json(universe):
-    return [
-        {"name": ascii_name(a.name), "polarity": a.polarity.value, "level": a.level}
-        for a in universe.arguments
-    ]
+    # The arguments and the scale: enough to rebuild the universe.
+    arguments = [{"name": ascii_name(a.name), "polarity": a.polarity.value, "level": a.level}
+                 for a in universe.arguments]
+    return {"universe": arguments, "scale": list(universe.scale.levels)}
 
 
 def _found_in(finding):
     # A failure found by a sweep names the universe it holds in.
-    return {} if finding is None else {"universe": _universe_json(finding.universe)}
+    return {} if finding is None else _universe_json(finding.universe)
 
 
 def _bundle_sweep_result(designated, finding) -> tuple[bool, str]:
+    from .audit import replay_witness
     if designated:
         if finding is None:
             return True, "holds on every universe in range"
@@ -331,6 +326,7 @@ def _print_propositions(args, count, findings) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import BUNDLES, PROPOSITIONS, AuditVerdict, sweep, sweep_range
     if (args.path is None) == (args.generate is None):
         raise ProblemFormatError("audit needs a problem file or --generate, not both")
     if (args.axiom is None) == (args.bundle is None):
@@ -382,8 +378,7 @@ def cmd_audit(args) -> int:
             for v, findings in zip(verdicts, found)
         ]}
     else:
-        payload = {"checks": [_verdict_json(v) for v in verdicts],
-                   "universe": _universe_json(universe)}
+        payload = {"checks": [_verdict_json(v) for v in verdicts], **_universe_json(universe)}
     _emit(args, payload, [v.describe() for v in verdicts])
     if bundle:
         failed = any(not v.holds for v in verdicts if v.rule is bundle.designated)
@@ -441,23 +436,19 @@ def cmd_capacities(args) -> int:
     problem = _load(args.path)
     _warn_if_trivial(problem, args.quiet)
     cap = BigSteppedCapacity.for_universe(problem.universe, args.base)
-    rows = []
-    for name, profile in problem.options.items():
-        spos = cap.of(profile.pos)
-        sneg = cap.of(profile.neg)
-        rows.append((name, spos, sneg, spos - sneg))
+    rows = [(name, cap.of(p.pos), cap.of(p.neg)) for name, p in problem.options.items()]
     payload = {
         "base": cap.base,
         "options": {
-            name: {"sigma_pos": sp, "sigma_neg": sn, "np": np_}
-            for name, sp, sn, np_ in rows
+            name: {"sigma_pos": sp, "sigma_neg": sn, "np": sp - sn}
+            for name, sp, sn in rows
         },
     }
     width = max(max((len(r[0]) for r in rows), default=0), len("option")) + 2
     lines = [f"base: {cap.base}"]
     lines.append(f"{'option':<{width}}{'sigma+':>12}{'sigma-':>12}{'np':>12}")
-    for name, sp, sn, np_ in rows:
-        lines.append(f"{name:<{width}}{sp:>12}{sn:>12}{np_:>12}")
+    for name, sp, sn in rows:
+        lines.append(f"{name:<{width}}{sp:>12}{sn:>12}{sp - sn:>12}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -506,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rule", choices=[r.value for r in Rule] + ["all"], default="all")
     p.add_argument("--axiom", choices=[a.value for a in Axiom])
-    p.add_argument("--bundle", choices=[*BUNDLES, "propositions"])
+    p.add_argument("--bundle", choices=[*BUNDLE_NAMES, "propositions"])
     p.add_argument(
         "--expect", choices=["holds", "fails"],
         help="exit 2 unless the axiom verdict matches (axiom audits only)",

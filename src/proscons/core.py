@@ -4,7 +4,7 @@ An option is described by the set of arguments that apply to it.  Every
 argument carries a polarity (a reason for, or a reason against) and an
 importance level on a finite, totally ordered scale whose bottom element
 means "no importance at all".  The comparison rules consult nothing else;
-in particular there are no numeric utilities anywhere.
+in particular they use no numeric utilities.
 
 All values here are immutable after construction and every operation is a
 pure function of its inputs, so they are safe to share across threads.
@@ -212,6 +212,11 @@ def duplicate_both_polarity(decl: ArgumentDecl) -> tuple[Argument, ...]:
     return (Argument(decl.name, Polarity(decl.polarity), decl.level),)
 
 
+class _Levels(dict):
+    def __missing__(self, name):
+        raise UnknownArgumentError(f"unknown argument {name!r}")
+
+
 @dataclass(frozen=True)
 class DecisionUniverse:
     """The full argument set with its scale.
@@ -242,6 +247,16 @@ class DecisionUniverse:
         return {a.name: a for a in self.arguments}
 
     @cached_property
+    def levels(self) -> Mapping[str, int]:
+        """Importance level of every argument, by name; unknown names raise."""
+        return _Levels((a.name, a.level) for a in self.arguments)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Capacity weight of each level under :func:`default_base`: 0, B, B², …"""
+        return level_weights(default_base(self), len(self.scale))
+
+    @cached_property
     def pros(self) -> frozenset[str]:
         """Names of arguments that count as reasons for (positive level)."""
         return frozenset(
@@ -267,10 +282,11 @@ class DecisionUniverse:
         return not self.pros and not self.cons
 
     def level_of(self, name: str) -> int:
-        try:
-            return self.by_name[name].level
-        except KeyError:
-            raise UnknownArgumentError(f"unknown argument {name!r}") from None
+        return self.levels[name]
+
+    def capacity(self, names: Iterable[str], weights: tuple[int, ...]) -> int:
+        """Sum of the level weights of a set of arguments, over its member names."""
+        return sum(map(weights.__getitem__, map(self.levels.__getitem__, names)))
 
     def option(self, members: Iterable[str]) -> "OptionProfile":
         return OptionProfile(self, frozenset(members))
@@ -287,8 +303,22 @@ def om(universe: DecisionUniverse, names: Iterable[str]) -> int:
     empty set.  This is a possibility measure: maxitive over unions and
     monotone under inclusion.
     """
-    return max((universe.level_of(n) for n in names), default=0)
+    return max(map(universe.levels.__getitem__, names), default=0)
 
+
+def default_base(universe: DecisionUniverse) -> int:
+    """Weight base guaranteeing that the top differing level always decides.
+
+    Signed per-level count differences between two options are bounded by
+    twice the universe size, so ``2*|X| + 1`` leaves the leading digit of
+    any weight sum untouched by all lower digits combined.
+    """
+    return 2 * len(universe.arguments) + 1
+
+
+def level_weights(base: int, size: int) -> tuple[int, ...]:
+    """Big-stepped weights of a scale of ``size`` levels: the null level weighs nothing."""
+    return (0, *(base**level for level in range(1, size)))
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -367,6 +397,12 @@ class OptionProfile:
     @cached_property
     def om_neg(self) -> int:
         return om(self.universe, self.neg)
+
+    @cached_property
+    def capacities(self) -> tuple[int, int]:
+        """(σ+, σ−): the capacities of the pros and of the cons under the default base."""
+        u = self.universe
+        return u.capacity(self.pos, u.weights), u.capacity(self.neg, u.weights)
 
     # -- per-level sections ----------------------------------------------
 

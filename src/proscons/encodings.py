@@ -6,7 +6,8 @@ that the count at one level can never be outweighed by anything happening
 below it.  Summing weights per polarity yields two capacities; their
 difference is a signed score (the *net predisposition*) whose comparison
 reproduces the signed-count rule exactly, while a levelwise reading of the
-same capacities reproduces the two-ledger rule.
+same capacities reproduces the two-ledger rule.  Under the default base they
+are computed once per option (``OptionProfile.capacities``), not per comparison.
 
 The module also hosts the cue-scanning procedure for linearly ranked
 binary cues ("take the best"): complete every option with the polar
@@ -30,6 +31,8 @@ from .core import (
     Polarity,
     ProblemError,
     SUPERSCRIPT_CON,
+    default_base,
+    level_weights,
     require_same_universe,
 )
 
@@ -54,16 +57,6 @@ class CueCompletionError(ProblemError, ValueError):
 # Big-stepped capacities and net predisposition
 # ---------------------------------------------------------------------------
 
-def default_base(universe: DecisionUniverse) -> int:
-    """Weight base guaranteeing that the top differing level always decides.
-
-    Signed per-level count differences between two options are bounded by
-    twice the universe size, so ``2*|X| + 1`` leaves the leading digit of
-    any weight sum untouched by all lower digits combined.
-    """
-    return 2 * len(universe.arguments) + 1
-
-
 @dataclass(frozen=True)
 class BigSteppedCapacity:
     """Integer capacity with geometrically exploding per-level weights.
@@ -86,11 +79,13 @@ class BigSteppedCapacity:
     def for_universe(cls, universe: DecisionUniverse, base: int | None = None):
         return cls(universe, default_base(universe) if base is None else base)
 
-    def weight(self, level: int) -> int:
-        return 0 if level == 0 else self.base ** level
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        u = self.universe
+        return u.weights if self.base == default_base(u) else level_weights(self.base, len(u.scale))
 
     def of(self, names: Iterable[str]) -> int:
-        return sum(self.weight(self.universe.level_of(n)) for n in names)
+        return self.universe.capacity(names, self.weights)
 
 
 def sigma(names: Iterable[str], universe: DecisionUniverse, base: int | None = None) -> int:
@@ -108,7 +103,9 @@ def sigma(names: Iterable[str], universe: DecisionUniverse, base: int | None = N
 
 def net_predisposition(option: OptionProfile, base: int | None = None) -> int:
     """Signed score of an option: capacity of its pros minus capacity of its cons."""
-    cap = BigSteppedCapacity.for_universe(option.universe, base)
+    if base is None:
+        return option.capacities[0] - option.capacities[1]
+    cap = BigSteppedCapacity(option.universe, base)
     return cap.of(option.pos) - cap.of(option.neg)
 
 
@@ -182,10 +179,8 @@ def compare_bilexi_np(a: OptionProfile, b: OptionProfile) -> Outcome:
     levels, and only the higher of the two may speak.
     """
     require_same_universe(a, b)
-    cap = BigSteppedCapacity.for_universe(a.universe)
-    dpos = cap.of(a.pos) - cap.of(b.pos)
-    dneg = cap.of(a.neg) - cap.of(b.neg)
-    first, second = _capacity_bilexi_weak(dpos, dneg, cap.base)
+    (apos, aneg), (bpos, bneg) = a.capacities, b.capacities
+    first, second = _capacity_bilexi_weak(apos - bpos, aneg - bneg, default_base(a.universe))
     return Outcome.from_weak(first, second)
 
 

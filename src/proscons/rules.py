@@ -27,6 +27,7 @@ from .core import (
     DecisionUniverse,
     OptionProfile,
     Outcome,
+    om,
     require_same_universe,
 )
 
@@ -54,6 +55,32 @@ _DISPLAY = {
     Rule.BILEXI: "BiLexi",
     Rule.LEXI: "Lexi",
 }
+
+
+class Axiom(Enum):
+    """Named properties a comparison rule may or may not satisfy, checked by ``proscons.audit``."""
+
+    CA = "ca"                              # every argument comparable to nothing
+    SQC = "sqc"                            # null arguments never matter
+    POS_MONOTONY = "posmonotony"           # extra pros never hurt the winner
+    NEG_MONOTONY = "negmonotony"           # extra cons never help the loser
+    WEAK_UNANIMITY = "weakunanimity"       # winning both ledgers wins overall
+    NON_TRIVIALITY = "nontriviality"       # all pros beat all cons
+    X_MONOTONY = "xmonotony"               # swapping in a stronger argument keeps wins
+    POSC = "posc"                          # pros blocked by the same con are equal
+    NEGC = "negc"                          # cons blocked by the same pro are equal
+    NEG = "neg"                            # beating two positive sets beats their union
+    CLO = "clo"                            # indifference to two positive sets survives union
+    GNEG = "gneg"                          # strict preferences combine across unions
+    GCLO = "gclo"                          # weak preferences combine across unions
+    POS_EFFICIENCY = "posefficiency"       # strictly good surplus forces strict preference
+    NEG_EFFICIENCY = "negefficiency"       # strictly bad surplus forces strict dispreference
+    PREF_INDEPENDENCE = "prefindependence"  # shared arguments never matter
+    COMPLETENESS = "completeness"
+    QUASI_TRANSITIVITY = "quasitransitivity"
+    TRANSITIVITY = "transitivity"
+    SIMPLE_GROUNDING = "simplegrounding"   # weak-order ground + xmonotony + posc + negc
+    ANONYMITY = "anonymity"                # indifferent disjoint sets are interchangeable
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +177,13 @@ def compare_discri(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Possibilistic comparison after cancelling shared arguments.
 
     Arguments present in both options cannot make a difference, so they
-    are removed before the single-scale comparison runs.  Complete and
-    quasi-transitive.
+    are removed: ``biposs`` then reads the tops of the one-sided differences.
+    Complete and quasi-transitive.
     """
     require_same_universe(a, b)
-    return compare_biposs(a.difference(b), b.difference(a))
+    ap, an = om(a.universe, a.pos - b.pos), om(a.universe, a.neg - b.neg)
+    bp, bn = om(a.universe, b.pos - a.pos), om(a.universe, b.neg - a.neg)
+    return Outcome.from_weak(_biposs_weak(ap, an, bp, bn), _biposs_weak(bp, bn, ap, an))
 
 
 def compare_bilexi(a: OptionProfile, b: OptionProfile) -> Outcome:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,11 +13,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proscons import Rule, fixture_path, load_fixture, parse_problem, serialize_problem
-from proscons.audit import CHECKS, Axiom, Witness, check_axiom, theorem1_bundle
+from proscons import (
+    Argument,
+    DecisionUniverse,
+    ImportanceScale,
+    Polarity,
+    Rule,
+    fixture_path,
+    load_fixture,
+    parse_problem,
+    serialize_problem,
+)
+from proscons import rules
+from proscons.audit import BUNDLES, CHECKS, Axiom, Witness, check_axiom, theorem1_bundle
 from proscons.cli import _verdict_json as verdict_json
-from proscons.cli import main
-from conftest import make_universe
+from proscons.cli import build_parser, main
 
 GOLDEN = json.loads((Path(__file__).parent / "audit_golden.json").read_text(encoding="utf-8"))
 
@@ -45,10 +58,11 @@ def write_doc(tmp_path, num_args, num_levels, options=None):
     return str(path)
 
 
-def universe_of(entry, num_levels):
-    """The universe a JSON audit entry names, on an anonymous scale."""
-    return make_universe(
-        num_levels, [(a["name"], a["polarity"], a["level"]) for a in entry["universe"]]
+def universe_of(entry):
+    """The universe a JSON audit entry names, rebuilt from the entry alone."""
+    return DecisionUniverse(
+        ImportanceScale(tuple(entry["scale"])),
+        tuple(Argument(a["name"], Polarity(a["polarity"]), a["level"]) for a in entry["universe"]),
     )
 
 
@@ -187,6 +201,9 @@ class TestAudit:
         assert len(verdicts) == 1
         assert not verdicts[0]["holds"]
         assert verdicts[0]["witness"]["profiles"]
+        luc = load_fixture("luc").universe
+        assert payload["scale"] == list(luc.scale.levels)
+        assert [a["level"] for a in payload["universe"]] == [a.level for a in luc.arguments]
 
     def test_expect_flag_drives_exit_code(self, capsys):
         code, _, _ = run(
@@ -331,6 +348,7 @@ class TestAudit:
             "ok": False,
             "witness": {"profiles": [[], []], "args": [], "note": "forced"},
             "universe": [{"name": "p1a", "polarity": "pro", "level": 1}],
+            "scale": ["l0", "l1", "l2"],
         }]
 
     def test_generated_axiom_failure_json_names_its_universe(self, capsys):
@@ -345,7 +363,7 @@ class TestAudit:
             assert ("universe" in entry) != entry["holds"]
         for entry in failed:
             verdict = check_axiom(
-                Axiom.PREF_INDEPENDENCE, Rule(entry["rule"]), universe_of(entry, 3)
+                Axiom.PREF_INDEPENDENCE, Rule(entry["rule"]), universe_of(entry)
             )
             assert verdict_json(verdict)["witness"] == entry["witness"]
 
@@ -359,7 +377,7 @@ class TestAudit:
             if rule is theorem1_bundle.designated:
                 assert "universe" not in entry
                 continue
-            report = theorem1_bundle(rule, universe_of(entry, 3), stop_at_first_failure=True)
+            report = theorem1_bundle(rule, universe_of(entry), stop_at_first_failure=True)
             assert report.failures[0].check in entry["detail"]
 
     def test_audit_needs_exactly_one_mode(self, capsys):
@@ -464,6 +482,64 @@ class TestRankReport:
                         assert report.outcomes[x][y] is report.outcomes[y][x].mirror()
                 assert report.maximal
                 assert not report.strict_cycles
+
+
+class TestParser:
+    @staticmethod
+    def audit_choices(option):
+        audit = build_parser()._subparsers._group_actions[0].choices["audit"]
+        return next(a.choices for a in audit._actions if option in a.option_strings)
+
+    def test_axiom_choices_are_the_axioms(self):
+        assert Axiom is rules.Axiom  # the audit re-exports the class the CLI reads
+        assert self.audit_choices("--axiom") == [a.value for a in Axiom]
+
+    def test_bundle_choices_are_the_bundles(self):
+        # The CLI lists the bundle names without loading the audit harness.
+        assert self.audit_choices("--bundle") == [*BUNDLES, "propositions"]
+
+
+class TestImportBoundary:
+    """Only ``audit`` loads numpy: the scalar commands stay pure Python."""
+
+    @staticmethod
+    def after(*commands):
+        """Exit codes of the commands run in one fresh interpreter, and whether numpy loaded."""
+        code = (
+            "import sys\n"
+            "from proscons.cli import main\n"
+            f"print(*[main(argv) for argv in {list(commands)!r}], 'numpy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        )
+        *codes, loaded = done.stdout.splitlines()[-1].split()
+        return [int(c) for c in codes], loaded == "True"
+
+    def test_scalar_commands_leave_numpy_unloaded(self, tmp_path):
+        cues = tmp_path / "cues.json"
+        cues.write_text(json.dumps({
+            "scale": ["zero", "one", "two"],
+            "arguments": [{"name": "c1", "polarity": "pro", "level": "two"},
+                          {"name": "c2", "polarity": "pro", "level": "one"}],
+            "options": {"one": ["c1"], "two": ["c2"]},
+        }))
+        codes, loaded = self.after(
+            ["validate", "luc"],
+            ["compare", "luc", "a", "b"],
+            ["rank", "lucy", "--rule", "bilexi"],
+            ["ttb", str(cues), "one", "two"],
+            ["capacities", "luka"],
+        )
+        assert codes == [0] * 5
+        assert not loaded
+
+    def test_audit_loads_numpy(self):
+        # The same probe sees numpy once the audit harness runs.
+        codes, loaded = self.after(["audit", "luc", "--axiom", "ca", "--rule", "biposs"])
+        assert codes == [0]
+        assert loaded
 
 
 class TestRoundTrip:

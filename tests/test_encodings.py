@@ -7,6 +7,7 @@ from proscons import (
     NonInjectiveImportanceError,
     Outcome,
     Rule,
+    UnknownArgumentError,
     compare,
     compare_bilexi_np,
     compare_np,
@@ -117,6 +118,21 @@ class TestEncodingEquivalences:
         assert cap.of(a.neg) > cap.of(home.neg)
         assert compare(Rule.BILEXI, a, home) is Outcome.PREFER_FIRST
         assert compare_bilexi_np(a, home) is Outcome.PREFER_FIRST
+
+
+class TestWeightTable:
+    def test_default_base_reads_the_universe_table(self, luc):
+        u = luc.universe
+        assert BigSteppedCapacity.for_universe(u).weights is u.weights
+        assert u.weights == (0, 15, 15**2)
+        assert BigSteppedCapacity(u, 3).weights == (0, 3, 9)
+
+    def test_weights_are_read_by_name_only(self, luc):
+        # No per-level ``weight()``: a level outside the scale would index the
+        # table silently (-1) or fail bare (past the top).
+        assert not hasattr(BigSteppedCapacity, "weight")
+        with pytest.raises(UnknownArgumentError):
+            BigSteppedCapacity(luc.universe, 3).of(["nowhere"])
 
 
 class TestUndersizedBase:

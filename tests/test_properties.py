@@ -11,7 +11,7 @@ profiles.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proscons import (
@@ -21,14 +21,20 @@ from proscons import (
     Outcome,
     Polarity,
     Rule,
+    UnknownArgumentError,
     compare,
     compare_bilexi_np,
+    compare_biposs,
     compare_impl,
     compare_impl_cases,
     compare_np,
     complete_polar_opposites,
+    net_predisposition,
+    om,
+    sigma,
     ttb_compare,
 )
+from proscons.encodings import default_base
 from proscons.audit import CHECKS, PAIRWISE_BOUND, AuditContext, ProfileSpace, Witness
 from proscons.audit.axioms import (
     _combination_scan,
@@ -101,6 +107,40 @@ def test_numeric_and_case_split_routes_agree(pair):
     assert compare_np(a, b) is compare(Rule.LEXI, a, b)
     assert compare_bilexi_np(a, b) is compare(Rule.BILEXI, a, b)
     assert compare_impl(a, b) is compare_impl_cases(a, b)
+
+
+@deterministic
+@given(profile_pairs())
+def test_cached_capacities_are_the_weight_sums(pair):
+    for option in pair:
+        u = option.universe
+        base = default_base(u)
+        # Pros and cons hold no null argument, so every member weighs base**level.
+        brute = [sum(base ** u.by_name[n].level for n in side) for side in (option.pos, option.neg)]
+        assert option.capacities == tuple(brute)
+        assert net_predisposition(option) == net_predisposition(option, base=base)
+
+
+@deterministic
+@given(profile_pairs())
+def test_discri_is_biposs_after_cancelling_shared_arguments(pair):
+    a, b = pair
+    assert compare(Rule.DISCRI, a, b) is compare_biposs(a.difference(b), b.difference(a))
+
+
+@deterministic
+@given(profile_pairs(), st.text(max_size=3))
+def test_unknown_names_are_refused(pair, name):
+    option = pair[0]
+    u = option.universe
+    assume(name not in u.by_name)
+    for probe in (
+        lambda: u.level_of(name),
+        lambda: om(u, [*option.pos, name]),
+        lambda: sigma([*option.pos, name], u),
+    ):
+        with pytest.raises(UnknownArgumentError, match="unknown argument"):
+            probe()
 
 
 @st.composite
