@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import DecisionUniverse, TrivialUniverseError, UniverseMismatchError
-from ..encodings import default_base
 from ..rules import Rule
 from .space import PAIRWISE_BOUND, ProfileSpace, guard_size
 
@@ -21,10 +20,11 @@ class RelationSet:
     """Weak matrix plus its derived strict, symmetric and incomparable parts."""
 
     def __init__(self, weak: np.ndarray):
+        transposed = np.ascontiguousarray(weak.T)  # one copy beats three strided reads
         self.weak = weak
-        self.strict = weak & ~weak.T
-        self.sym = weak & weak.T
-        self.incomp = ~weak & ~weak.T
+        self.strict = weak & ~transposed
+        self.sym = weak & transposed
+        self.incomp = ~(weak | transposed)
 
 
 def _pareto_weak(space: ProfileSpace) -> np.ndarray:
@@ -128,23 +128,19 @@ def weak_matrix(space: ProfileSpace, rule: Rule) -> np.ndarray:
 # Capacity-route matrices (independent of the count-scanning builders)
 # ---------------------------------------------------------------------------
 
-def capacity_values(space: ProfileSpace):
-    """Per-profile positive and negative capacity values, and the level weights.
+def capacity_values(space: ProfileSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-profile positive and negative capacities under the universe's weight table.
 
-    All are exact Python integers (``dtype=object``): weights pass int64 on
+    Both are exact Python integers (``dtype=object``): weights pass int64 on
     small universes, e.g. ``13**18`` over 6 arguments on 19 levels.
     """
-    base = default_base(space.universe)
-    levels = range(1, space.pos_counts.shape[1])
-    weights = np.array([0] + [base**level for level in levels], dtype=object)
-    spos = (space.pos_counts.astype(object) * weights).sum(axis=1)
-    sneg = (space.neg_counts.astype(object) * weights).sum(axis=1)
-    return spos, sneg, weights
+    weights = np.array(space.universe.weights, dtype=object)
+    return space.pos_counts.astype(object) @ weights, space.neg_counts.astype(object) @ weights
 
 
 def np_weak_matrix(space: ProfileSpace) -> np.ndarray:
     """Weak matrix of the net-predisposition comparison."""
-    spos, sneg, _ = capacity_values(space)
+    spos, sneg = capacity_values(space)
     np_values = spos - sneg
     return np_values[:, None] >= np_values[None, :]
 
@@ -152,24 +148,14 @@ def np_weak_matrix(space: ProfileSpace) -> np.ndarray:
 def capacity_bilexi_weak_matrix(space: ProfileSpace) -> np.ndarray:
     """Weak matrix of the capacity route to the two-ledger levelwise rule.
 
-    The leading balanced digit of each capacity difference marks the top
-    level where that ledger's counts differ; only the higher of the two
-    leading levels may speak, and the pro/con verdicts there are paired
-    componentwise.
+    Applies the leading-level rule of :func:`proscons.encodings.leading_level`
+    to every pair's capacity differences, by one search per ledger in the
+    weight table above the null level.
     """
-    spos, sneg, weights = capacity_values(space)
-    thresholds = weights[1:]
-
-    dpos = spos[:, None] - spos[None, :]
-    dneg = sneg[:, None] - sneg[None, :]
-
-    # A nonzero difference D with balanced digits has B**lead < 2|D| < B**(lead+1).
-    lead_p = (2 * np.abs(dpos)[..., None] > thresholds).sum(axis=-1)
-    lead_n = (2 * np.abs(dneg)[..., None] > thresholds).sum(axis=-1)
-    top = np.maximum(lead_p, lead_n)
-    sp = np.where(lead_p == top, np.sign(dpos), 0)
-    sn = np.where(lead_n == top, np.sign(dneg), 0)
-    return (sp >= 0) & (sn <= 0)
+    above_null = np.array(space.universe.weights[1:], dtype=object)
+    dpos, dneg = (values[:, None] - values[None, :] for values in capacity_values(space))
+    lead_pos, lead_neg = (np.searchsorted(above_null, 2 * np.abs(d)) for d in (dpos, dneg))
+    return ((lead_pos < lead_neg) | (dpos >= 0)) & ((lead_neg < lead_pos) | (dneg <= 0))
 
 
 # ---------------------------------------------------------------------------

@@ -444,11 +444,13 @@ def cmd_capacities(args) -> int:
             for name, sp, sn in rows
         },
     }
-    width = max(max((len(r[0]) for r in rows), default=0), len("option")) + 2
+    table = [("option", "sigma+", "sigma-", "np")]
+    table += [(name, str(sp), str(sn), str(sp - sn)) for name, sp, sn in rows]
+    # Two spaces between columns however wide the values grow; numbers take at least 12.
+    widths = [max(len(row[i]) + 2 for row in table) for i in range(4)]
+    numbers = [max(12, w) for w in widths[1:]]
     lines = [f"base: {cap.base}"]
-    lines.append(f"{'option':<{width}}{'sigma+':>12}{'sigma-':>12}{'np':>12}")
-    for name, sp, sn in rows:
-        lines.append(f"{name:<{width}}{sp:>12}{sn:>12}{sp - sn:>12}")
+    lines += [row[0].ljust(widths[0]) + "".join(map(str.rjust, row[1:], numbers)) for row in table]
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -309,11 +309,11 @@ def om(universe: DecisionUniverse, names: Iterable[str]) -> int:
 def default_base(universe: DecisionUniverse) -> int:
     """Weight base guaranteeing that the top differing level always decides.
 
-    Signed per-level count differences between two options are bounded by
-    twice the universe size, so ``2*|X| + 1`` leaves the leading digit of
-    any weight sum untouched by all lower digits combined.
+    Per-level count differences between two options are at most |X| (floored
+    at 1: no arguments gives base 3), so ``2*|X| + 1`` keeps the leading level
+    of any difference of weight sums clear of all lower levels combined.
     """
-    return 2 * len(universe.arguments) + 1
+    return 2 * max(len(universe.arguments), 1) + 1
 
 
 def level_weights(base: int, size: int) -> tuple[int, ...]:

@@ -5,9 +5,10 @@ argument at level ``i`` the integer weight ``B**i`` with a base so large
 that the count at one level can never be outweighed by anything happening
 below it.  Summing weights per polarity yields two capacities; their
 difference is a signed score (the *net predisposition*) whose comparison
-reproduces the signed-count rule exactly, while a levelwise reading of the
-same capacities reproduces the two-ledger rule.  Under the default base they
-are computed once per option (``OptionProfile.capacities``), not per comparison.
+reproduces the signed-count rule exactly, while reading each capacity
+difference at its leading level (:func:`leading_level`) reproduces the
+two-ledger rule.  Under the default base the capacities are computed once
+per option (``OptionProfile.capacities``), not per comparison.
 
 The module also hosts the cue-scanning procedure for linearly ranked
 binary cues ("take the best"): complete every option with the polar
@@ -18,6 +19,7 @@ instances the three cancellation-based rules all coincide with the scan.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -121,57 +123,28 @@ def compare_np(a: OptionProfile, b: OptionProfile, base: int | None = None) -> O
     return Outcome.from_weak(npa >= npb, npb >= npa)
 
 
-def balanced_digits(value: int, base: int) -> list[int]:
-    """Balanced base-``base`` digits of an integer, least significant first.
+def leading_level(diff: int, weights: tuple[int, ...]) -> int:
+    """Top level at which a difference of big-stepped capacities is decided.
 
-    Digits lie in ``[-(base//2), base//2]``; the expansion is unique, so a
-    difference of capacity values decodes exactly into the per-level count
-    differences it was built from.
+    ``weights`` is a table ``(0, B, B², …)`` with ``B`` above twice every
+    per-level count difference, as :attr:`DecisionUniverse.weights` is.  If
+    ``D = Σ d_k·B^k`` has its top nonzero ``d_k`` at level ``k``, then
+    ``B^k < 2|D| < B^(k+1)`` and ``D`` has the sign of ``d_k``: ``k`` is the
+    number of weights ``B, B², …`` below ``2|D|``.  Zero reads as level 0.
+
+    Both capacity routes read the two-ledger rule so: a ledger (pro, con)
+    speaks when its leading level is at least the other's, and the first
+    option is weakly preferred when the speaking pro difference is ``>= 0``
+    and the speaking con difference ``<= 0``.
     """
-    digits: list[int] = []
-    v = value
-    while v:
-        r = v % base
-        if r > base // 2:
-            r -= base
-        digits.append(r)
-        v = (v - r) // base
-    return digits
-
-
-def _leading(value: int, base: int) -> tuple[int, int]:
-    """(level, sign) of the most significant balanced digit; (0, 0) for zero."""
-    digits = balanced_digits(value, base)
-    if not digits:
-        return 0, 0
-    level = len(digits) - 1
-    return level, (1 if digits[-1] > 0 else -1)
-
-
-def _capacity_bilexi_weak(dpos: int, dneg: int, base: int) -> tuple[bool, bool]:
-    """Both weak directions of the two-ledger comparison, from capacity differences.
-
-    ``dpos``/``dneg`` are the positive- and negative-capacity differences
-    between the two options.  Their leading balanced digits sit exactly at
-    the highest level where the corresponding section cardinalities
-    differ, so the levelwise verdict can be reconstructed from the two
-    integers alone.
-    """
-    lp, sp = _leading(dpos, base)
-    ln, sn = _leading(dneg, base)
-    top = max(lp, ln)
-    sp = sp if lp == top else 0
-    sn = sn if ln == top else 0
-    return (sp >= 0 and sn <= 0), (sp <= 0 and sn >= 0)
+    return bisect_left(weights, 2 * abs(diff), 1) - 1
 
 
 def compare_bilexi_np(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Capacity route to the two-ledger levelwise comparison.
 
-    Evaluates the positive and negative capacities of both options and
-    compares them level-lexicographically: the leading differing level is
-    recovered from the capacity differences, and the pro/con verdicts at
-    that level are paired off componentwise.  Agrees with
+    Reads the positive and negative capacity differences of the two options
+    by the leading-level rule of :func:`leading_level`.  Agrees with
     :func:`proscons.rules.compare_bilexi` on every pair.
 
     A plain componentwise comparison of the two capacity totals would be
@@ -180,7 +153,10 @@ def compare_bilexi_np(a: OptionProfile, b: OptionProfile) -> Outcome:
     """
     require_same_universe(a, b)
     (apos, aneg), (bpos, bneg) = a.capacities, b.capacities
-    first, second = _capacity_bilexi_weak(apos - bpos, aneg - bneg, default_base(a.universe))
+    dpos, dneg = apos - bpos, aneg - bneg
+    lead_pos, lead_neg = (leading_level(d, a.universe.weights) for d in (dpos, dneg))
+    first = (lead_pos < lead_neg or dpos >= 0) and (lead_neg < lead_pos or dneg <= 0)
+    second = (lead_pos < lead_neg or dpos <= 0) and (lead_neg < lead_pos or dneg >= 0)
     return Outcome.from_weak(first, second)
 
 

@@ -230,18 +230,18 @@ def compare_lexi(a: OptionProfile, b: OptionProfile) -> Outcome:
 # ---------------------------------------------------------------------------
 
 COMPARATORS = {
-    Rule.PARETO: compare_pareto,
-    Rule.BIPOSS: compare_biposs,
-    Rule.IMPL: compare_impl,
-    Rule.DISCRI: compare_discri,
-    Rule.BILEXI: compare_bilexi,
-    Rule.LEXI: compare_lexi,
+    Rule.PARETO.value: compare_pareto,
+    Rule.BIPOSS.value: compare_biposs,
+    Rule.IMPL.value: compare_impl,
+    Rule.DISCRI.value: compare_discri,
+    Rule.BILEXI.value: compare_bilexi,
+    Rule.LEXI.value: compare_lexi,
 }
 
 
 def compare(rule: Rule, a: OptionProfile, b: OptionProfile) -> Outcome:
     """Compare two profiles under the given rule."""
-    return COMPARATORS[rule](a, b)
+    return COMPARATORS[rule._value_](a, b)  # a str hashes in C; a Rule in Python-level code
 
 
 # ---------------------------------------------------------------------------

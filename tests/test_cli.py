@@ -467,6 +467,37 @@ class TestCapacities:
         code, out, err = run(capsys, "capacities", "luc", "--base", base)
         assert_one_line_error(code, out, err, "capacity base must be at least 2")
 
+    def test_wide_values_keep_their_columns_apart(self, capsys, tmp_path):
+        # 6 arguments on level 18 of 19 get base 13 and 21-digit capacities.
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({
+            "scale": [f"l{i}" for i in range(19)],
+            "arguments": [{"name": f"x{i}", "polarity": "pro" if i % 2 else "con",
+                           "level": "l18"} for i in range(6)],
+            "options": {"a": ["x0", "x2", "x4"], "b": ["x1", "x3"], "c": []},
+        }))
+        for argv in ([str(deep)], ["luc", "--base", "99999999999999999999"]):
+            code, out, _ = run(capsys, "capacities", *argv)
+            _, payload, _ = run_json(capsys, "capacities", *argv)
+            assert code == 0
+            rows = out.splitlines()[2:]
+            assert len(rows) == len(payload["options"])
+            for name, *values in map(str.split, rows):
+                entry = payload["options"][name]
+                assert [int(v) for v in values] == [
+                    entry["sigma_pos"], entry["sigma_neg"], entry["np"]
+                ]
+
+    def test_problem_without_arguments_gets_base_three(self, capsys, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"scale": ["z", "a"], "arguments": [], "options": {"x": []}}))
+        code, out, err = run(capsys, "capacities", str(path))
+        assert code == 0 and "null importance" in err
+        assert out.splitlines()[0] == "base: 3"
+        assert out.splitlines()[2].split() == ["x", "0", "0", "0"]
+        code, out, err = run(capsys, "capacities", str(path), "--base", "1", "--quiet")
+        assert_one_line_error(code, out, err, "capacity base must be at least 2")
+
 
 class TestRankReport:
     def test_matrix_mirror_consistent_and_maximal_nonempty(self):

@@ -18,7 +18,6 @@ from proscons import (
 )
 from proscons.encodings import (
     BigSteppedCapacity,
-    balanced_digits,
     default_base,
     iter_completed_pairs,
     opposite_name,
@@ -80,15 +79,6 @@ class TestNetPredisposition:
     def test_self_comparison_indifferent(self, luc):
         a = luc.options["a"]
         assert compare_np(a, a) is Outcome.INDIFFERENT
-
-
-class TestBalancedDigits:
-    @pytest.mark.parametrize("base", [3, 5, 15])
-    def test_roundtrip(self, base):
-        for value in range(-200, 201):
-            digits = balanced_digits(value, base)
-            assert all(abs(d) <= base // 2 for d in digits)
-            assert sum(d * base**i for i, d in enumerate(digits)) == value
 
 
 class TestEncodingEquivalences:

@@ -34,7 +34,7 @@ from proscons import (
     sigma,
     ttb_compare,
 )
-from proscons.encodings import default_base
+from proscons.encodings import default_base, leading_level
 from proscons.audit import CHECKS, PAIRWISE_BOUND, AuditContext, ProfileSpace, Witness
 from proscons.audit.axioms import (
     _combination_scan,
@@ -119,6 +119,37 @@ def test_cached_capacities_are_the_weight_sums(pair):
         brute = [sum(base ** u.by_name[n].level for n in side) for side in (option.pos, option.neg)]
         assert option.capacities == tuple(brute)
         assert net_predisposition(option) == net_predisposition(option, base=base)
+
+
+@st.composite
+def level_differences(draw):
+    """A universe and per-level count differences in [-|X|, |X|] above the null level.
+
+    Extremes (±1, ±|X|) are drawn often: a leading ±1 over lower levels at
+    ∓|X| and a leading ±|X| over lower levels at ±|X| sit at the two edges
+    of the leading level's range.
+    """
+    n = draw(st.integers(1, MAX_ARGS))
+    num_levels = draw(st.integers(2, MAX_LEVELS))
+    universe = DecisionUniverse(
+        ImportanceScale(tuple(f"l{i}" for i in range(num_levels))),
+        tuple(Argument(f"x{i}", Polarity.PRO, 1) for i in range(n)),
+    )
+    digit = st.integers(-n, n) | st.sampled_from([-n, -1, 0, 1, n])
+    diffs = draw(st.lists(digit, min_size=num_levels - 1, max_size=num_levels - 1))
+    return universe, (0, *diffs)
+
+
+@deterministic
+@given(level_differences())
+def test_leading_level_is_the_top_differing_level(drawn):
+    universe, diffs = drawn
+    weights = universe.weights
+    value = sum(d * w for d, w in zip(diffs, weights))
+    top = max((k for k, d in enumerate(diffs) if d), default=0)
+    assert leading_level(value, weights) == top
+    assert (value > 0) - (value < 0) == (diffs[top] > 0) - (diffs[top] < 0)
+    assert leading_level(0, weights) == 0
 
 
 @deterministic
