@@ -1,8 +1,10 @@
 """Vectorised weak-preference matrices, one per rule, over a profile space.
 
 ``weak[i, j]`` says profile ``i`` is weakly preferred to profile ``j``.
-These matrices are the workhorses of the exhaustive audits; a bridge test
-asserts they agree with the scalar comparison functions pair by pair.
+``pareto``, ``bilexi`` and ``lexi`` are dominance over per-profile keys.
+A bridge test checks every builder against the scalar rules pair by pair;
+the capacity-route builders and ``impl_cases_weak`` stay apart from these,
+so the bridge and encoding checks compare independent routes to one rule.
 """
 
 from __future__ import annotations
@@ -27,9 +29,21 @@ class RelationSet:
         self.incomp = ~(weak | transposed)
 
 
+def _dominance(*keys: np.ndarray) -> np.ndarray:
+    """``weak[i, j]``: profile ``i``'s value is at least ``j``'s on every key."""
+    weak = keys[0][:, None] >= keys[0][None, :]
+    for key in keys[1:]:
+        weak &= key[:, None] >= key[None, :]
+    return weak
+
+
+def _lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of each profile's row, flattened, in the lexicographic order of the rows."""
+    return np.unique(rows.reshape(len(rows), -1), axis=0, return_inverse=True)[1]
+
+
 def _pareto_weak(space: ProfileSpace) -> np.ndarray:
-    omp, omn = space.omp, space.omn
-    return (omp[:, None] >= omp[None, :]) & (omn[:, None] <= omn[None, :])
+    return _dominance(space.omp, -space.omn)
 
 
 def _biposs_weak(space: ProfileSpace) -> np.ndarray:
@@ -41,10 +55,8 @@ def _biposs_weak(space: ProfileSpace) -> np.ndarray:
 
 def _impl_weak(space: ProfileSpace) -> np.ndarray:
     omp, omn = space.omp, space.omn
-    top = np.maximum(
-        np.maximum(omp[:, None], omn[:, None]),
-        np.maximum(omp[None, :], omn[None, :]),
-    )
+    peak = np.maximum(omp, omn)
+    top = np.maximum.outer(peak, peak)
     first = (omp[None, :] != top) | (omp[:, None] == top)
     second = (omn[:, None] != top) | (omn[None, :] == top)
     return first & second
@@ -64,27 +76,14 @@ def _discri_weak(space: ProfileSpace) -> np.ndarray:
 
 
 def _bilexi_weak(space: ProfileSpace) -> np.ndarray:
-    weak = np.ones((space.size, space.size), dtype=bool)
-    decided = np.zeros((space.size, space.size), dtype=bool)
-    for level in range(space.pos_counts.shape[1] - 1, 0, -1):
-        dp = space.pos_counts[:, None, level] - space.pos_counts[None, :, level]
-        dn = space.neg_counts[:, None, level] - space.neg_counts[None, :, level]
-        newly = ((dp != 0) | (dn != 0)) & ~decided
-        weak[newly] = (dp >= 0)[newly] & (dn <= 0)[newly]
-        decided |= newly
-    return weak
+    # Both keys are decided at the first level from the top where either tally differs, and
+    # both favour A there exactly when A has at least as many pros and at most as many cons.
+    pros, cons = space.pos_counts[:, :0:-1], -space.neg_counts[:, :0:-1]
+    return _dominance(_lex_rank(np.dstack((pros, cons))), _lex_rank(np.dstack((cons, pros))))
 
 
 def _lexi_weak(space: ProfileSpace) -> np.ndarray:
-    signed = space.pos_counts - space.neg_counts
-    weak = np.ones((space.size, space.size), dtype=bool)
-    decided = np.zeros((space.size, space.size), dtype=bool)
-    for level in range(signed.shape[1] - 1, 0, -1):
-        d = signed[:, None, level] - signed[None, :, level]
-        newly = (d != 0) & ~decided
-        weak[newly] = (d > 0)[newly]
-        decided |= newly
-    return weak
+    return _dominance(_lex_rank((space.pos_counts - space.neg_counts)[:, :0:-1]))
 
 
 def impl_cases_weak(space: ProfileSpace) -> np.ndarray:

@@ -184,40 +184,42 @@ class RankReport:
 
 
 def _strict_cycles(names, outcomes) -> tuple[tuple[str, ...], ...]:
-    # Depth-first search for a cycle in the strict-preference digraph.
+    # Depth-first search for a cycle in the strict-preference digraph, on its own
+    # stack so that a strict chain past the recursion limit is walked like a short
+    # one. pending[0] runs over the roots, pending[k] over the successors of stack[k-1].
     succ = {
         x: [y for y in names if outcomes[x][y] is Outcome.PREFER_FIRST] for x in names
     }
     color = {x: 0 for x in names}
     stack: list[str] = []
+    pending = [iter(names)]
     cycles: list[tuple[str, ...]] = []
-
-    def visit(x):
-        color[x] = 1
-        stack.append(x)
-        for y in succ[x]:
+    while pending:
+        for y in pending[-1]:
             if color[y] == 1:
                 cycles.append(tuple(stack[stack.index(y):] + [y]))
             elif color[y] == 0:
-                visit(y)
-        stack.pop()
-        color[x] = 2
-
-    for x in names:
-        if color[x] == 0:
-            visit(x)
+                color[y] = 1
+                stack.append(y)
+                pending.append(iter(succ[y]))
+                break
+        else:
+            pending.pop()
+            if stack:
+                color[stack.pop()] = 2
     return tuple(cycles)
 
 
 def rank_options(problem: Problem, rule: Rule) -> RankReport:
-    """Compare every pair of the problem's options under one rule."""
+    """Compare each unordered pair of the problem's options once under one rule."""
     names = tuple(problem.options)
     if not names:
         raise ProblemFormatError("ranking needs at least one option")
-    outcomes = {
-        x: {y: compare(rule, problem.options[x], problem.options[y]) for y in names}
-        for x in names
-    }
+    outcomes: dict[str, dict[str, Outcome]] = {x: {} for x in names}
+    for i, x in enumerate(names):
+        for y in names[i:]:
+            out = compare(rule, problem.options[x], problem.options[y])
+            outcomes[y][x], outcomes[x][y] = out.mirror(), out
     maximal = tuple(
         x
         for x in names

@@ -17,6 +17,7 @@ from proscons import (
     Argument,
     DecisionUniverse,
     ImportanceScale,
+    Outcome,
     Polarity,
     Rule,
     fixture_path,
@@ -513,6 +514,35 @@ class TestRankReport:
                         assert report.outcomes[x][y] is report.outcomes[y][x].mirror()
                 assert report.maximal
                 assert not report.strict_cycles
+
+    def test_strict_cycles_walk_a_chain_past_the_recursion_limit(self):
+        from proscons.cli import _strict_cycles
+
+        names = tuple(f"o{i}" for i in range(sys.getrecursionlimit() + 100))
+        # o0 > o1 > ... along the chain, nothing else compared; then the last closes it.
+        outcomes = {x: dict.fromkeys(names, Outcome.INCOMPARABLE) for x in names}
+        for x, y in zip(names, names[1:]):
+            outcomes[x][y], outcomes[y][x] = Outcome.PREFER_FIRST, Outcome.PREFER_SECOND
+        assert _strict_cycles(names, outcomes) == ()
+        outcomes[names[-1]][names[0]] = Outcome.PREFER_FIRST
+        assert _strict_cycles(names, outcomes) == ((*names, names[0]),)
+
+    def test_rank_of_a_strict_chain_past_the_recursion_limit(self, capsys, tmp_path):
+        # Nine pros, one per level, and 300 options best first: a strict lexi chain.
+        scale = [f"l{i}" for i in range(10)]
+        arguments = [{"name": f"p{i}", "polarity": "pro", "level": scale[i]} for i in range(1, 10)]
+        masks = range(511, 211, -1)
+        options = {f"o{m}": [f"p{i}" for i in range(1, 10) if m >> (i - 1) & 1] for m in masks}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"scale": scale, "arguments": arguments, "options": options}))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            code, payload, err = run_json(capsys, "rank", str(path), "--rule", "lexi")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0 and err == ""
+        assert payload["maximal"] == ["o511"] and payload["strict_cycles"] == []
 
 
 class TestParser:

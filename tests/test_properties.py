@@ -6,7 +6,7 @@ through the scalar functions, the claims the sweeps certify on small ones.
 The closure kernels, the shift-scan, ground, union and pairwise checks are
 held to their definitions on random relations, which break the axioms far
 more often than the rules do; the profile space is held to the scalar
-profiles.
+profiles, and every rule's weak matrix to its scalar rule.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ from proscons.audit.axioms import (
     _union_closed,
     _witness,
 )
-from proscons.audit.matrices import RelationSet
+from proscons.audit.matrices import RelationSet, weak_matrix
 from proscons.audit.reports import REFINEMENT_CHAIN
 
 MAX_ARGS = 60
@@ -175,10 +175,10 @@ def test_unknown_names_are_refused(pair, name):
 
 
 @st.composite
-def spaces(draw):
-    """A universe of up to ``PAIRWISE_BOUND`` arguments and a few of its profile masks."""
+def spaces(draw, max_args=PAIRWISE_BOUND):
+    """A universe of up to ``max_args`` arguments and a few of its profile masks."""
     num_levels = draw(st.integers(2, MAX_LEVELS))
-    num_args = draw(st.integers(0, PAIRWISE_BOUND))
+    num_args = draw(st.integers(0, max_args))
     specs = draw(
         st.lists(
             st.tuples(st.sampled_from(list(Polarity)), st.integers(0, num_levels - 1)),
@@ -206,6 +206,21 @@ def test_profile_space_rows_are_the_scalar_profiles(case):
         assert tuple(space.neg_counts[m]) == p.neg_level_counts
         assert (space.omp[m], space.omn[m]) == (p.om_pos, p.om_neg)
         assert space.submasks(m).tolist() == [s for s in range(1 << len(names)) if not s & ~m]
+
+
+@deterministic
+@given(spaces(max_args=8))
+def test_weak_matrices_are_the_scalar_rules(case):
+    # Many levels between few arguments: the levelwise keys interleave far
+    # more levels than the exhaustive bridge at |L| <= 4 reaches.
+    universe, masks = case
+    space = ProfileSpace(universe)
+    for rule in Rule:
+        weak = weak_matrix(space, rule)
+        for i in masks:
+            for j in masks:
+                expected = compare(rule, space.profile(i), space.profile(j)).first_weak
+                assert bool(weak[i, j]) == expected, (rule, i, j)
 
 
 @st.composite
