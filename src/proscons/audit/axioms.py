@@ -28,6 +28,10 @@ free profile pairs with the same relation on shifted ones.  They share one
 ``_shift_scan``, whose witness is the first shift in the check's order, then
 the first (A, B) in row-major order.  The ground checks read the ground
 relation from the weak matrix, at the singletons and the empty profile.
+Single cells, the efficiency checks and the scans that compare both
+directions of a pair read the relation's 2-bit pair code
+(``RelationSet.code``); a check that needs a whole strict, symmetric or
+incomparable part builds it once.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .matrices import AuditContext, admit, context_for
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
+_EFFICIENCY_BLOCK = 256  # rows of the (A, B) grid the efficiency checks read at once
 
 
 @dataclass(frozen=True)
@@ -163,14 +168,10 @@ def _shift_scan(values: np.ndarray, shifts, differ) -> Witness | None:
     return None
 
 
-def _pair_codes(weak: np.ndarray) -> np.ndarray:
-    """Each pair's 2-bit code: bit 0 is A ≽ B, bit 1 is B ≽ A."""
-    return weak | weak.T.astype(np.uint8) << 1
-
-
 def _indifferent_pairs(rel) -> list[list[int]]:
     """(C, D) with C ~ D and C ≠ D, row-major."""
-    return np.argwhere(rel.sym & ~np.eye(len(rel.sym), dtype=bool)).tolist()
+    pairs = np.argwhere(rel.code == 3)
+    return pairs[pairs[:, 0] != pairs[:, 1]].tolist()
 
 
 def _ground(ctx: AuditContext, rule: Rule) -> np.ndarray:
@@ -196,7 +197,7 @@ def _check_sqc(ctx: AuditContext, rule: Rule):
     masks = ctx.space.masks
     shifts = ((masks, masks, ((0, 0), (1 << i, 0), (0, 1 << i)),
                lambda a, b: _witness(ctx, a, b, args=(name,)))
-              for i, name in enumerate(ctx.space.names) if rel.sym[1 << i, 0])
+              for i, name in enumerate(ctx.space.names) if rel.code[1 << i, 0] == 3)
     return _shift_scan(rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
 
 
@@ -238,7 +239,7 @@ def _check_weakunanimity(ctx, rule):
 def _check_nontriviality(ctx, rule):
     rel = ctx.rel(rule)
     space = ctx.space
-    if not rel.strict[space.pos_mask, space.neg_mask]:
+    if rel.code[space.pos_mask, space.neg_mask] != 1:
         return _witness(ctx, space.pos_mask, space.neg_mask)
     return None
 
@@ -257,7 +258,7 @@ def _check_xmonotony(ctx, rule):
                ((1 << i, 0), (1 << j, 0)), lambda a, b: _witness(ctx, a, b, args=(x, xp)))
               for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
               if i != j and rel.weak[1 << j, 1 << i])
-    return _shift_scan(_pair_codes(rel.weak), shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
+    return _shift_scan(rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
 
 
 def _cancellation(ctx, rule, *, positive: bool):
@@ -268,10 +269,10 @@ def _cancellation(ctx, rule, *, positive: bool):
     other = sorted(u.cons if positive else u.pros, key=space.names.index)
     for y in other:
         yb = space.arg_bit(y)
-        blocked = [x for x in same if rel.sym[space.arg_bit(x) | yb, 0]]
+        blocked = [x for x in same if rel.code[space.arg_bit(x) | yb, 0] == 3]
         for x in blocked:
             for z in blocked:
-                if not rel.sym[space.arg_bit(x), space.arg_bit(z)]:
+                if rel.code[space.arg_bit(x), space.arg_bit(z)] != 3:
                     return Witness(args=(x, z, y))
     return None
 
@@ -292,9 +293,10 @@ def _check_neg(ctx, rule):
 
 def _check_clo(ctx, rule):
     rel = ctx.rel(rule)
+    sym = rel.sym
     subs = ctx.space.submasks(ctx.space.pos_mask)
-    union = np.take_along_axis(rel.sym.take(subs, axis=0), subs[:, None] | subs[None, :], axis=1)
-    for note, viol in (("union", _row_unions(rel.sym, subs)),
+    union = np.take_along_axis(sym.take(subs, axis=0), subs[:, None] | subs[None, :], axis=1)
+    for note, viol in (("union", _row_unions(sym, subs)),
                        ("absorb", _gather(rel.weak, subs, subs) & ~union)):
         hit = _first(viol)
         if hit:
@@ -355,19 +357,21 @@ def _combination(ctx, rule, *, strict_parts: bool):
 
 
 def _efficiency(ctx, rule, *, positive: bool):
-    rel = ctx.rel(rule)
-    space = ctx.space
-    for a in range(space.size):
-        subs = space.submasks(a)
-        surplus = a ^ subs  # A minus B for B below A
-        if positive:
-            viol = rel.strict[surplus, 0] & ~rel.strict[a, subs]
-        else:
-            viol = rel.strict[0, surplus] & ~rel.strict[subs, a]
+    # Witness order: A ascending, then the first B ⊆ A.  A ∖ B ≻ ∅ must give
+    # A ≻ B, code 1 at (A, B); ∅ ≻ A ∖ B must give B ≻ A, code 2 at (A, B).
+    # The A of a block differ only in their low bits, so each B is a submask of the last A.
+    code = ctx.rel(rule).code
+    surplus_strict = code[:, 0] == 1 if positive else code[0, :] == 1
+    kept = 1 if positive else 2
+    for start in range(0, ctx.space.size, _EFFICIENCY_BLOCK):
+        a = ctx.space.masks[start : start + _EFFICIENCY_BLOCK, None]
+        b = ctx.space.submasks(start | (_EFFICIENCY_BLOCK - 1))
+        viol = (b & ~a) == 0  # B ⊆ A
+        viol &= surplus_strict[a ^ b]
+        viol &= code[start : start + _EFFICIENCY_BLOCK].take(b, axis=1) != kept
         hit = _first(viol)
         if hit:
-            (bi,) = hit
-            return _witness(ctx, a, subs[bi])
+            return _witness(ctx, start + hit[0], b[hit[1]])
     return None
 
 
@@ -418,7 +422,7 @@ def _check_anonymity(ctx, rule):
     shifts = ((ctx.space.disjoint_from(c | d), ctx.space.masks, ((c, 0), (d, 0)),
                lambda a, b: _witness(ctx, a, b, c, d))
               for c, d in _indifferent_pairs(rel))
-    return _shift_scan(_pair_codes(rel.weak), shifts, np.not_equal)
+    return _shift_scan(rel.code, shifts, np.not_equal)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 ``weak[i, j]`` says profile ``i`` is weakly preferred to profile ``j``.
 ``pareto``, ``bilexi`` and ``lexi`` are dominance over per-profile keys.
+A :class:`RelationSet` keeps a rule's weak matrix and one uint8 pair code,
+``code[i, j] = weak[i, j] | weak[j, i] << 1`` (bit 0: i ≽ j; bit 1: j ≽ i), so
+the strict (1), symmetric (3) and incomparable (0) parts are one compare each.
 A bridge test checks every builder against the scalar rules pair by pair;
 the capacity-route builders and ``impl_cases_weak`` stay apart from these,
 so the bridge and encoding checks compare independent routes to one rule.
@@ -16,17 +19,41 @@ from ..rules import Rule
 from .space import PAIRWISE_BOUND, ProfileSpace, guard_size
 
 _ROW_BLOCK = 1024  # keeps intermediate index arrays small on larger spaces
+_CODE_BLOCK = 256  # side of the square tiles the pair code is transposed in
 
 
 class RelationSet:
-    """Weak matrix plus its derived strict, symmetric and incomparable parts."""
+    """Weak matrix plus the 2-bit code of each pair, with the parts read off the code.
+
+    ``code[i, j]`` has bit 0 set when ``weak[i, j]`` and bit 1 when
+    ``weak[j, i]``: 1 is strict preference of ``i``, 2 of ``j``, 3 is
+    indifference and 0 incomparability.  ``strict``, ``sym`` and ``incomp``
+    build a new matrix on every access, so a loop reads cells of ``code``.
+    """
 
     def __init__(self, weak: np.ndarray):
-        transposed = np.ascontiguousarray(weak.T)  # one copy beats three strided reads
+        code = np.empty(weak.shape, dtype=np.uint8)
+        for i in range(0, len(weak), _CODE_BLOCK):  # tiles, not one strided transpose
+            for j in range(0, len(weak), _CODE_BLOCK):
+                code[i : i + _CODE_BLOCK, j : j + _CODE_BLOCK] = (
+                    weak[j : j + _CODE_BLOCK, i : i + _CODE_BLOCK].T
+                )
+        code <<= 1
+        code |= weak
         self.weak = weak
-        self.strict = weak & ~transposed
-        self.sym = weak & transposed
-        self.incomp = ~(weak | transposed)
+        self.code = code
+
+    @property
+    def strict(self) -> np.ndarray:
+        return self.code == 1
+
+    @property
+    def sym(self) -> np.ndarray:
+        return self.code == 3
+
+    @property
+    def incomp(self) -> np.ndarray:
+        return self.code == 0
 
 
 def _dominance(*keys: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .axioms import (
     _first,
     _ground,
     _indifferent_pairs,
-    _pair_codes,
     _pair_witness,
     _shift_scan,
     _strict,
@@ -182,8 +181,8 @@ def _check_add_indifferent_set(ctx, rule):
     rel = ctx.rel(rule)
     shifts = ((ctx.space.disjoint_from(c), ctx.space.masks, ((0, 0), (c, 0)),
                lambda a, b: _witness(ctx, a, b, c))
-              for c in range(1, ctx.space.size) if rel.sym[c, 0])
-    return _shift_scan(_pair_codes(rel.weak), shifts, np.not_equal)
+              for c in range(1, ctx.space.size) if rel.code[c, 0] == 3)
+    return _shift_scan(rel.code, shifts, np.not_equal)
 
 
 def _check_swap_indifferent_sets(ctx, rule):
@@ -207,7 +206,7 @@ def _check_swap_indifferent_singletons(ctx, rule):
     shifts = ((space.disjoint_from(1 << i), space.disjoint_from(1 << j),
                ((0, 0), (1 << i, 1 << j)), lambda a, b: _witness(ctx, a, b, args=(x, y)))
               for i, x in enumerate(space.names) for j, y in enumerate(space.names)
-              if rel.sym[1 << i, 1 << j])
+              if rel.code[1 << i, 1 << j] == 3)
     return _shift_scan(rel.weak, shifts, np.not_equal)
 
 

@@ -45,7 +45,7 @@ from proscons.audit.axioms import (
     _monotony_scan,
     _union_closed,
 )
-from proscons.audit.matrices import capacity_values
+from proscons.audit.matrices import RelationSet, capacity_values
 from conftest import make_universe
 
 TUPLE_GOLDEN = json.loads(
@@ -98,6 +98,26 @@ class TestEnumeration:
                 for i, a in enumerate(profiles):
                     for j, b in enumerate(profiles):
                         assert bool(weak[i, j]) == compare(rule, a, b).first_weak
+
+
+class TestRelationSet:
+    @pytest.mark.parametrize("n", range(13))
+    def test_code_and_parts_match_the_transpose(self, n):
+        # Sides 1 to 4096: one partial 256-square tile up to 16 × 16 full ones.
+        w = np.random.default_rng(n).integers(2, size=(1 << n, 1 << n), dtype=bool)
+        t = np.ascontiguousarray(w.T)
+        rel = RelationSet(w)
+        assert rel.code.dtype == np.uint8 and rel.code.flags.c_contiguous
+        assert np.array_equal(rel.code, w | t.astype(np.uint8) << 1)
+        assert np.array_equal(rel.strict, w & ~t)
+        assert np.array_equal(rel.sym, w & t)
+        assert np.array_equal(rel.incomp, ~(w | t))
+
+    def test_keeps_two_bytes_per_pair(self):
+        side = 4096
+        w = np.random.default_rng(0).integers(2, size=(side, side), dtype=bool)
+        kept = vars(RelationSet(w)).values()
+        assert sum(v.nbytes for v in kept if isinstance(v, np.ndarray)) <= 2 * side * side
 
 
 class TestCheckAxiom:

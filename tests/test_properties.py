@@ -488,3 +488,63 @@ def test_xmonotony_reads_every_pair_code(u, v):
     ctx._relations[Rule.LEXI] = RelationSet(w)
     expected = _defined_witnesses(ctx, w, w)["xmonotony"]
     assert CHECKS["xmonotony"].verdict(Rule.LEXI, ctx.universe, context=ctx).witness == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairwise_checks_find_their_witness_past_the_first_row_block(seed):
+    # 9 arguments give 512 profiles, two 256-row blocks.  Every profile below
+    # 256 is indifferent to the empty one and comparable to every profile, so
+    # each check's first violation lies in the second block; argument 8 is a
+    # pro, so nontriviality reads a cell in that block too.
+    rng = np.random.default_rng(seed)
+    size, low = 512, slice(0, 256)
+    ctx = _context(size, int(rng.integers(1, 256)))
+    pos, neg = ctx.space.pos_mask, ctx.space.neg_mask
+    assert pos >= 256
+    w = rng.integers(2, size=(size, size), dtype=bool)
+    w[low, 0] = w[0, low] = True
+    w[low] |= ~w[:, low].T
+    w[pos, neg], w[neg, pos] = True, bool(seed % 2)
+    ctx._relations[Rule.LEXI] = RelationSet(w)
+    strict = w & ~w.T
+    a, b = np.ix_(np.arange(size), np.arange(size))
+    within = (b & ~a) == 0
+    grids = {
+        "posefficiency": within & strict[a ^ b, 0] & ~strict[a, b],
+        "negefficiency": within & strict[0, a ^ b] & ~strict[b, a],
+        "completeness": ~w & ~w.T,
+    }
+    for name, grid in grids.items():
+        first = np.argwhere(grid)[0]
+        assert first[0] >= 256, name
+        found = CHECKS[name].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
+        assert found == _witness(ctx, *first), name
+    found = CHECKS["nontriviality"].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
+    assert found == (None if strict[pos, neg] else _witness(ctx, pos, neg))
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_efficiency_witness_in_a_later_column_tile(positive):
+    # 10 arguments; the block of A from 512 to 767 reads as B only the
+    # submasks of 767 (0-255, then 512-767).  {x0} ≻ ∅ and A ≻ A ∖ {x0} for
+    # every odd A below 513, all else tied (transposed for the negative
+    # check), so the first witness is (513, 512): B sits 256 columns into
+    # its block.
+    size = 1024
+    ctx = _context(size)
+    w = np.ones((size, size), dtype=bool)
+    odd = np.arange(1, 513, 2)
+    w[0, 1] = False
+    w[odd - 1, odd] = False
+    if not positive:
+        w = np.ascontiguousarray(w.T)
+    ctx._relations[Rule.LEXI] = RelationSet(w)
+    strict = w & ~w.T
+    a, b = np.ix_(np.arange(size), np.arange(size))
+    grid = ((b & ~a) == 0) & (
+        strict[a ^ b, 0] & ~strict[a, b] if positive else strict[0, a ^ b] & ~strict[b, a]
+    )
+    assert np.argwhere(grid)[0].tolist() == [513, 512]
+    name = "posefficiency" if positive else "negefficiency"
+    found = CHECKS[name].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
+    assert found == _witness(ctx, 513, 512)
