@@ -10,7 +10,9 @@ Every axiom is implemented twice, on purpose:
 Both, with the enumeration bound, make up the axiom's :class:`Check`
 record in ``AXIOMS``.  The replay route never touches the matrices,
 so a witness that replays is evidence against the rule, not against the
-sweep machinery.
+sweep machinery.  A check family has one replay, parametrised as its sweep
+is (``positive``, ``strict_parts`` or the relation part it tests) and bound
+with ``partial``.
 
 Some sweeps first decide with a cheaper exact kernel and scan for the
 witness only when it finds a violation: transitivity with a matrix product,
@@ -27,11 +29,11 @@ The exchange-type checks (``sqc``, ``xmonotony``, ``prefindependence``,
 free profile pairs with the same relation on shifted ones.  They share one
 ``_shift_scan``, whose witness is the first shift in the check's order, then
 the first (A, B) in row-major order.  The ground checks read the ground
-relation from the weak matrix, at the singletons and the empty profile.
-Single cells, the efficiency checks and the scans that compare both
-directions of a pair read the relation's 2-bit pair code
-(``RelationSet.code``); a check that needs a whole strict, symmetric or
-incomparable part builds it once.
+relation off the pair code, at the singletons and the empty profile.
+A relation is stored only as its 2-bit pair code (``RelationSet.code``):
+single cells, the efficiency checks and the scans that compare both
+directions of a pair read the code, and a check that needs a whole weak,
+strict, symmetric or incomparable part builds it once.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _indifferent_pairs(rel) -> list[list[int]]:
 def _ground(ctx: AuditContext, rule: Rule) -> np.ndarray:
     """The weak relation on the singletons, in argument order, then the empty profile."""
     items = [1 << i for i in range(ctx.space.n)] + [0]
-    return _gather(ctx.rel(rule).weak, items, items)
+    return (_gather(ctx.rel(rule).code, items, items) & 1).view(bool)
 
 
 def _reach(base: np.ndarray) -> np.ndarray:
@@ -257,7 +259,7 @@ def _check_xmonotony(ctx, rule):
     shifts = ((space.disjoint_from(1 << i | 1 << j), space.masks,
                ((1 << i, 0), (1 << j, 0)), lambda a, b: _witness(ctx, a, b, args=(x, xp)))
               for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
-              if i != j and rel.weak[1 << j, 1 << i])
+              if i != j and rel.code[1 << j, 1 << i] & 1)
     return _shift_scan(rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
 
 
@@ -441,6 +443,10 @@ def _sym(rule, a, b) -> bool:
     return compare(rule, a, b) is Outcome.INDIFFERENT
 
 
+# The relation parts a replay family tests, by the names its sweep reads off a RelationSet.
+_PARTS = {"weak": _weak, "strict": _strict, "sym": _sym}
+
+
 def _replay_ca(rule, u, w):
     x = u.option({w.args[0]})
     return not _weak(rule, x, u.empty) and not _weak(rule, u.empty, x)
@@ -459,18 +465,13 @@ def _replay_sqc(rule, u, w):
     return len(results) > 1
 
 
-def _replay_posmonotony(rule, u, w):
+def _replay_monotony(rule, u, w, *, positive: bool):
     a, b, c, cp = (u.option(p) for p in w.profiles)
-    if not (c.members <= u.pros and cp.members <= u.pros):
+    side = u.pros if positive else u.cons
+    if not (c.members <= side and cp.members <= side):
         return False
-    return _weak(rule, a, b) and not _weak(rule, c.union(a), b.difference(cp))
-
-
-def _replay_negmonotony(rule, u, w):
-    a, b, c, cp = (u.option(p) for p in w.profiles)
-    if not (c.members <= u.cons and cp.members <= u.cons):
-        return False
-    return _weak(rule, a, b) and not _weak(rule, a.difference(c), b.union(cp))
+    moved = (a.union(c), b.difference(cp)) if positive else (a.difference(c), b.union(cp))
+    return _weak(rule, a, b) and not _weak(rule, *moved)
 
 
 def _replay_weakunanimity(rule, u, w):
@@ -512,53 +513,31 @@ def _replay_cancellation(rule, u, w):
     )
 
 
-def _replay_neg(rule, u, w):
+def _replay_row_union(rule, u, w, *, part: str):
+    holds = _PARTS[part]
     a, b, c = (u.option(p) for p in w.profiles)
-    return _strict(rule, a, b) and _strict(rule, a, c) and not _strict(rule, a, b.union(c))
+    return holds(rule, a, b) and holds(rule, a, c) and not holds(rule, a, b.union(c))
 
 
 def _replay_clo(rule, u, w):
     if w.note == "absorb":
         b, c = (u.option(p) for p in w.profiles)
         return _weak(rule, b, c) and not _sym(rule, b, b.union(c))
-    a, b, c = (u.option(p) for p in w.profiles)
-    return _sym(rule, a, b) and _sym(rule, a, c) and not _sym(rule, a, b.union(c))
+    return _replay_row_union(rule, u, w, part="sym")
 
 
-def _replay_gneg(rule, u, w):
+def _replay_combination(rule, u, w, *, strict_parts: bool):
+    holds = _strict if strict_parts else _weak
     a, b, c, d = (u.option(p) for p in w.profiles)
-    return (
-        _strict(rule, a, b)
-        and _strict(rule, c, d)
-        and not _strict(rule, a.union(c), b.union(d))
-    )
+    return holds(rule, a, b) and holds(rule, c, d) and not holds(rule, a.union(c), b.union(d))
 
 
-def _replay_gclo(rule, u, w):
-    a, b, c, d = (u.option(p) for p in w.profiles)
-    return (
-        _weak(rule, a, b)
-        and _weak(rule, c, d)
-        and not _weak(rule, a.union(c), b.union(d))
-    )
-
-
-def _replay_posefficiency(rule, u, w):
+def _replay_efficiency(rule, u, w, *, positive: bool):
+    # A ∖ B ≻ ∅ must give A ≻ B (``positive``); ∅ ≻ A ∖ B must give B ≻ A.
     a, b = (u.option(p) for p in w.profiles)
-    return (
-        b.members <= a.members
-        and _strict(rule, a.difference(b), u.empty)
-        and not _strict(rule, a, b)
-    )
-
-
-def _replay_negefficiency(rule, u, w):
-    a, b = (u.option(p) for p in w.profiles)
-    return (
-        b.members <= a.members
-        and _strict(rule, u.empty, a.difference(b))
-        and not _strict(rule, b, a)
-    )
+    surplus = (a.difference(b), u.empty) if positive else (u.empty, a.difference(b))
+    kept = (a, b) if positive else (b, a)
+    return b.members <= a.members and _strict(rule, *surplus) and not _strict(rule, *kept)
 
 
 def _replay_prefindependence(rule, u, w):
@@ -573,14 +552,10 @@ def _replay_completeness(rule, u, w):
     return compare(rule, a, b) is Outcome.INCOMPARABLE
 
 
-def _replay_quasitransitivity(rule, u, w):
+def _replay_transitive(rule, u, w, *, part: str):
+    holds = _PARTS[part]
     a, b, c = (u.option(p) for p in w.profiles)
-    return _strict(rule, a, b) and _strict(rule, b, c) and not _strict(rule, a, c)
-
-
-def _replay_transitivity(rule, u, w):
-    a, b, c = (u.option(p) for p in w.profiles)
-    return _weak(rule, a, b) and _weak(rule, b, c) and not _weak(rule, a, c)
+    return holds(rule, a, b) and holds(rule, b, c) and not holds(rule, a, c)
 
 
 def _replay_simplegrounding(rule, u, w):
@@ -609,9 +584,9 @@ AXIOMS: dict[Axiom, Check] = {
         ("ca", PAIRWISE_BOUND, _check_ca, _replay_ca),
         ("sqc", PAIRWISE_BOUND, _check_sqc, _replay_sqc),
         ("posmonotony", TUPLE_BOUND, partial(_monotony, positive=True),
-         _replay_posmonotony),
+         partial(_replay_monotony, positive=True)),
         ("negmonotony", TUPLE_BOUND, partial(_monotony, positive=False),
-         _replay_negmonotony),
+         partial(_replay_monotony, positive=False)),
         ("weakunanimity", PAIRWISE_BOUND, _check_weakunanimity, _replay_weakunanimity),
         ("nontriviality", PAIRWISE_BOUND, _check_nontriviality, _replay_nontriviality),
         ("xmonotony", TUPLE_BOUND, _check_xmonotony, _replay_xmonotony),
@@ -619,21 +594,23 @@ AXIOMS: dict[Axiom, Check] = {
          _replay_cancellation),
         ("negc", PAIRWISE_BOUND, partial(_cancellation, positive=False),
          _replay_cancellation),
-        ("neg", TUPLE_BOUND, _check_neg, _replay_neg),
+        ("neg", TUPLE_BOUND, _check_neg, partial(_replay_row_union, part="strict")),
         ("clo", TUPLE_BOUND, _check_clo, _replay_clo),
-        ("gneg", TUPLE_BOUND, partial(_combination, strict_parts=True), _replay_gneg),
-        ("gclo", TUPLE_BOUND, partial(_combination, strict_parts=False), _replay_gclo),
+        ("gneg", TUPLE_BOUND, partial(_combination, strict_parts=True),
+         partial(_replay_combination, strict_parts=True)),
+        ("gclo", TUPLE_BOUND, partial(_combination, strict_parts=False),
+         partial(_replay_combination, strict_parts=False)),
         ("posefficiency", PAIRWISE_BOUND, partial(_efficiency, positive=True),
-         _replay_posefficiency),
+         partial(_replay_efficiency, positive=True)),
         ("negefficiency", PAIRWISE_BOUND, partial(_efficiency, positive=False),
-         _replay_negefficiency),
+         partial(_replay_efficiency, positive=False)),
         ("prefindependence", PAIRWISE_BOUND, _check_prefindependence,
          _replay_prefindependence),
         ("completeness", PAIRWISE_BOUND, _check_completeness, _replay_completeness),
         ("quasitransitivity", TUPLE_BOUND, partial(_transitive_violation, part="strict"),
-         _replay_quasitransitivity),
+         partial(_replay_transitive, part="strict")),
         ("transitivity", TUPLE_BOUND, partial(_transitive_violation, part="weak"),
-         _replay_transitivity),
+         partial(_replay_transitive, part="weak")),
         ("simplegrounding", TUPLE_BOUND, _check_simplegrounding, _replay_simplegrounding),
         ("anonymity", TUPLE_BOUND, _check_anonymity, _replay_anonymity),
     )

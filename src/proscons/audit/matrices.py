@@ -2,9 +2,10 @@
 
 ``weak[i, j]`` says profile ``i`` is weakly preferred to profile ``j``.
 ``pareto``, ``bilexi`` and ``lexi`` are dominance over per-profile keys.
-A :class:`RelationSet` keeps a rule's weak matrix and one uint8 pair code,
+A :class:`RelationSet` keeps only a rule's uint8 pair code,
 ``code[i, j] = weak[i, j] | weak[j, i] << 1`` (bit 0: i ≽ j; bit 1: j ≽ i), so
-the strict (1), symmetric (3) and incomparable (0) parts are one compare each.
+the weak part is bit 0 and the strict (1), symmetric (3) and incomparable (0)
+parts are one compare each.
 A bridge test checks every builder against the scalar rules pair by pair;
 the capacity-route builders and ``impl_cases_weak`` stay apart from these,
 so the bridge and encoding checks compare independent routes to one rule.
@@ -23,12 +24,13 @@ _CODE_BLOCK = 256  # side of the square tiles the pair code is transposed in
 
 
 class RelationSet:
-    """Weak matrix plus the 2-bit code of each pair, with the parts read off the code.
+    """The 2-bit code of each pair of a weak matrix, with every part read off the code.
 
     ``code[i, j]`` has bit 0 set when ``weak[i, j]`` and bit 1 when
     ``weak[j, i]``: 1 is strict preference of ``i``, 2 of ``j``, 3 is
-    indifference and 0 incomparability.  ``strict``, ``sym`` and ``incomp``
-    build a new matrix on every access, so a loop reads cells of ``code``.
+    indifference and 0 incomparability.  ``weak``, ``strict``, ``sym`` and
+    ``incomp`` build a new matrix on every access, so a loop reads cells of
+    ``code``.
     """
 
     def __init__(self, weak: np.ndarray):
@@ -40,8 +42,11 @@ class RelationSet:
                 )
         code <<= 1
         code |= weak
-        self.weak = weak
         self.code = code
+
+    @property
+    def weak(self) -> np.ndarray:
+        return (self.code & 1).view(bool)
 
     @property
     def strict(self) -> np.ndarray:

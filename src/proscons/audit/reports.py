@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core import DecisionUniverse, ProblemError
 from ..encodings import compare_bilexi_np, compare_np
-from ..rules import EMPTY_LABEL, Rule, compare, compare_impl, compare_impl_cases
+from ..rules import EMPTY_LABEL, Rule, compare, compare_impl_cases
 from .axioms import (
     AXIOMS,
     Axiom,
@@ -32,6 +32,7 @@ from .axioms import (
     _ground,
     _indifferent_pairs,
     _pair_witness,
+    _replay_transitive,
     _shift_scan,
     _strict,
     _sym,
@@ -72,11 +73,6 @@ def _check_reflexive(ctx, rule):
 def _replay_reflexive(rule, u, w):
     a = u.option(w.profiles[0])
     return not compare(rule, a, a).first_weak
-
-
-def _replay_sym_transitive(rule, u, w):
-    a, b, c = (u.option(p) for p in w.profiles)
-    return _sym(rule, a, b) and _sym(rule, b, c) and not _sym(rule, a, c)
 
 
 _PROPERTIES = (
@@ -260,27 +256,20 @@ def _agreement(build, note, ctx, rule):
     return _pair_witness(ctx, build(ctx.space) != ctx.rel(rule).weak, note)
 
 
-def _replay_np_equals_lexi(rule, u, w):
+def _replay_agreement(route, rule, u, w):
+    # Against the verdict's rule, as the sweep reads ``ctx.rel(rule)``; ``compare``
+    # is looked up per call, never bound in a ``partial``, so it can be swapped.
     a, b = (u.option(p) for p in w.profiles)
-    return compare_np(a, b) is not compare(Rule.LEXI, a, b)
+    return route(a, b) is not compare(rule, a, b)
 
 
-def _replay_capacity_bilexi(rule, u, w):
-    a, b = (u.option(p) for p in w.profiles)
-    return compare_bilexi_np(a, b) is not compare(Rule.BILEXI, a, b)
-
-
-def _replay_impl_cases(rule, u, w):
-    a, b = (u.option(p) for p in w.profiles)
-    return compare_impl(a, b) is not compare_impl_cases(a, b)
-
-
-# Each check compares an independent matrix route with one rule's matrix.
+# Each check compares an independent route, as a matrix builder and as a scalar
+# comparison, with one rule: the rule named here, which the route must equal.
 _ENCODINGS = (
-    ("np_equals_lexi", Rule.LEXI, np_weak_matrix, _replay_np_equals_lexi),
+    ("np_equals_lexi", Rule.LEXI, np_weak_matrix, compare_np),
     ("capacity_bilexi_equals_bilexi", Rule.BILEXI, capacity_bilexi_weak_matrix,
-     _replay_capacity_bilexi),
-    ("impl_cases_agree", Rule.IMPL, impl_cases_weak, _replay_impl_cases),
+     compare_bilexi_np),
+    ("impl_cases_agree", Rule.IMPL, impl_cases_weak, compare_impl_cases),
 )
 
 
@@ -332,7 +321,7 @@ CHECKS: dict[str, Check] = {
         for name, bound, sweep, replay in (
             ("reflexive", PAIRWISE_BOUND, _check_reflexive, _replay_reflexive),
             ("sym_transitive", TUPLE_BOUND, partial(_transitive_violation, part="sym"),
-             _replay_sym_transitive),
+             partial(_replay_transitive, part="sym")),
             *(
                 (refinement_name(coarse, fine), PAIRWISE_BOUND,
                  partial(_refinement_witness, coarse),
@@ -351,8 +340,9 @@ CHECKS: dict[str, Check] = {
             ("swap_indifferent_singletons", TUPLE_BOUND,
              _check_swap_indifferent_singletons, _replay_swap_indifferent_singletons),
             *(
-                (name, TUPLE_BOUND, partial(_agreement, build, name), replay)
-                for name, _, build, replay in _ENCODINGS
+                (name, TUPLE_BOUND, partial(_agreement, build, name),
+                 partial(_replay_agreement, route))
+                for name, _, build, route in _ENCODINGS
             ),
         )
     },

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +442,6 @@ class OptionProfile:
     def union(self, other: "OptionProfile") -> "OptionProfile":
         require_same_universe(self, other)
         return OptionProfile(self.universe, self.members | other.members)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def require_same_universe(a: OptionProfile, b: OptionProfile) -> None:

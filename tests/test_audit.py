@@ -109,15 +109,16 @@ class TestRelationSet:
         rel = RelationSet(w)
         assert rel.code.dtype == np.uint8 and rel.code.flags.c_contiguous
         assert np.array_equal(rel.code, w | t.astype(np.uint8) << 1)
+        assert np.array_equal(rel.weak, w)
         assert np.array_equal(rel.strict, w & ~t)
         assert np.array_equal(rel.sym, w & t)
         assert np.array_equal(rel.incomp, ~(w | t))
 
-    def test_keeps_two_bytes_per_pair(self):
+    def test_keeps_one_byte_per_pair(self):
         side = 4096
         w = np.random.default_rng(0).integers(2, size=(side, side), dtype=bool)
         kept = vars(RelationSet(w)).values()
-        assert sum(v.nbytes for v in kept if isinstance(v, np.ndarray)) <= 2 * side * side
+        assert sum(v.nbytes for v in kept if isinstance(v, np.ndarray)) <= side * side
 
 
 class TestCheckAxiom:
@@ -326,6 +327,15 @@ class TestEncodingEquivalence:
         u = make_universe(19, [(f"x{i}", "pro", 18) for i in range(6)])
         assert capacity_values(ProfileSpace(u))[0][-1] == 6 * 13**18
         assert all(v.holds for v in encoding_equivalence(u).values())
+
+    @pytest.mark.parametrize("fixture", ["lucy", "luka"])
+    def test_witness_on_another_rule_replays_against_that_rule(self, fixture, request):
+        # The net-predisposition route differs from the Pareto rule somewhere;
+        # the replay compares it with the verdict's rule, as the sweep does.
+        u = request.getfixturevalue(fixture).universe
+        verdict = CHECKS["np_equals_lexi"].verdict(Rule.PARETO, u)
+        assert not verdict.holds
+        assert replay_witness(verdict, u)
 
 
 class TestCorollaries:

@@ -392,6 +392,74 @@ class TestAudit:
         assert code == 1
 
 
+def _declaration(**changes):
+    return {"name": "x", "polarity": "pro", "level": "one", **changes}
+
+
+def _document(**changes):
+    return {"scale": ["zero", "one"], "arguments": [_declaration()], "options": {"a": ["x"]},
+            **changes}
+
+
+class TestInputErrors:
+    """Each refused input ends with exit 1 and one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            (_document(arguments=["x"]), "arguments[0]: expected an object"),
+            (_document(arguments=[{"name": "x", "polarity": "pro"}]), "missing field 'level'"),
+            (_document(arguments=[_declaration(name="")]), "arguments[0].name: expected a non-empty"),
+            (_document(arguments=[_declaration(polarity="neutral")]), "arguments[0].polarity:"),
+            (_document(arguments=[_declaration(level=1)]), "levels are referenced by label"),
+            (_document(arguments=[_declaration(level="two")]), "unknown level label 'two'"),
+            (_document(scale=["zero", "zero"]), "level labels must be distinct"),
+            (_document(arguments={"x": "pro"}), "expected a list of argument declarations"),
+            (_document(options=[["x"]]), "expected an object mapping option names"),
+        ],
+    )
+    def test_defective_document(self, capsys, tmp_path, doc, fragment):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_error(*run(capsys, "compare", str(path), "a", "a"), fragment)
+
+    def test_unreadable_path(self, capsys, tmp_path):
+        # A directory exists but cannot be read as a file: an OSError.
+        assert_one_line_error(*run(capsys, "compare", str(tmp_path), "a", "a"), str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "bounds, fragment",
+        [
+            ("|X|=3,|Y|=3", "unknown bound 'y'"),
+            ("|X|=3", "needs both bounds"),
+            (",", "needs both bounds"),  # empty tokens are skipped, not bad bounds
+        ],
+    )
+    def test_bad_generate_bounds(self, capsys, bounds, fragment):
+        code, out, err = run(capsys, "audit", "--generate", bounds, "--axiom", "ca")
+        assert_one_line_error(code, out, err, fragment)
+
+    def test_rank_without_options(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_document(options={})))
+        assert_one_line_error(
+            *run(capsys, "rank", str(path), "--rule", "lexi"), "ranking needs at least one option"
+        )
+
+    def test_designated_rule_failure_exits_2(self, capsys, monkeypatch):
+        def forced(ctx, rule):
+            return Witness(args=("p1a",))
+
+        check = CHECKS["ca"]
+        monkeypatch.setitem(CHECKS, check.name, replace(check, sweep=forced))
+        code, out, err = run(
+            capsys, "audit", "--generate", "|X|=2,|L|=3", "--bundle", "theorem1", "--rule", "biposs"
+        )
+        assert (code, err) == (2, "")
+        assert out.split() == ["theorem1", "biposs", "FAIL", "FAILS:", "ca", "biposs", "FAIL",
+                               "witness:", "p1a"]
+
+
 class TestAuditGolden:
     """Exact text of the six audit modes: a problem file or ``--generate``,
     each with ``--axiom``, ``--bundle theorem1|theorem2`` and ``propositions``."""

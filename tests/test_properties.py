@@ -5,8 +5,9 @@ tests draw universes of up to 60 arguments on up to 30 levels and check,
 through the scalar functions, the claims the sweeps certify on small ones.
 The closure kernels, the shift-scan, ground, union and pairwise checks are
 held to their definitions on random relations, which break the axioms far
-more often than the rules do; the profile space is held to the scalar
-profiles, and every rule's weak matrix to its scalar rule.
+more often than the rules do, and every check's replay to its sweep's
+witnesses; the profile space is held to the scalar profiles, and every
+rule's weak matrix to its scalar rule.
 """
 
 import numpy as np
@@ -35,7 +36,14 @@ from proscons import (
     ttb_compare,
 )
 from proscons.encodings import default_base, leading_level
-from proscons.audit import CHECKS, PAIRWISE_BOUND, AuditContext, ProfileSpace, Witness
+from proscons.audit import (
+    CHECKS,
+    PAIRWISE_BOUND,
+    AuditContext,
+    ProfileSpace,
+    Witness,
+    replay_witness,
+)
 from proscons.audit.axioms import (
     _combination_scan,
     _monotony_scan,
@@ -369,12 +377,12 @@ def _random_relation(draw, n):
 
 
 @st.composite
-def relation_contexts(draw):
-    """Audit context over 1 <= n <= 4 pro and con arguments whose ``lexi`` and
-    ``biposs`` relations are drawn at random in place of the rules' own matrices."""
+def relation_contexts(draw, rules=(Rule.LEXI, Rule.BIPOSS)):
+    """Audit context over 1 <= n <= 4 pro and con arguments whose relations for
+    ``rules`` are drawn at random in place of the rules' own matrices."""
     n = draw(st.integers(1, MAX_KERNEL_ARGS))
     ctx = _context(1 << n, draw(st.just(0) | st.integers(0, (1 << n) - 1)))
-    for rule in (Rule.LEXI, Rule.BIPOSS):
+    for rule in rules:
         ctx._relations[rule] = RelationSet(_random_relation(draw, n))
     return ctx
 
@@ -474,6 +482,51 @@ def test_shift_and_ground_checks_match_their_definitions(ctx):
     broken = np.argwhere(~g & ~g.T).size + np.argwhere(g[:, :, None] & g & ~g[:, None, :]).size
     found = CHECKS["simplegrounding"].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
     assert (found == Witness(note="ground")) == bool(broken)
+
+
+def _oracle(ctx):
+    """A ``compare`` that reads the relations installed in ``ctx``."""
+    def compare(rule, a, b):
+        i, j = (sum(ctx.space.arg_bit(name) for name in p.members) for p in (a, b))
+        code = int(ctx.rel(rule).code[i, j])
+        return Outcome.from_weak(code & 1, code >> 1)
+    return compare
+
+
+def _swap_compare(monkeypatch, oracle):
+    # Every module whose replays call ``compare`` by name, ``ground_relation``'s included.
+    for module in ("proscons.rules", "proscons.audit.axioms", "proscons.audit.reports"):
+        monkeypatch.setattr(f"{module}.compare", oracle)
+
+
+def test_every_witness_replays_under_an_oracle_of_its_relation():
+    # Each check's sweep reads random relations for all six rules; its replay
+    # reads the same cells through ``compare``, swapped for an oracle.  Every
+    # witness must replay.  Under the relation where every pair is indifferent,
+    # a witness of a check that holds there must not.
+    reached = set()
+
+    @deterministic
+    @given(relation_contexts(tuple(Rule)))
+    def replays(ctx):
+        u = ctx.universe
+        indifferent = AuditContext(u)
+        for rule in Rule:
+            indifferent._relations[rule] = RelationSet(np.ones((ctx.space.size,) * 2, bool))
+        failures = [(check, verdict) for check in CHECKS.values() for rule in Rule
+                    if not (verdict := check.verdict(rule, u, context=ctx)).holds]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _swap_compare(monkeypatch, _oracle(ctx))
+            for check, verdict in failures:
+                assert replay_witness(verdict, u), verdict
+                reached.add(check.replay)
+            _swap_compare(monkeypatch, _oracle(indifferent))
+            for check, verdict in failures:
+                if check.verdict(verdict.rule, u, context=indifferent).holds:
+                    assert not replay_witness(verdict, u), verdict
+
+    replays()
+    assert reached == {check.replay for check in CHECKS.values()}
 
 
 @pytest.mark.parametrize("u, v", [(u, v) for u in range(4) for v in range(4)])
