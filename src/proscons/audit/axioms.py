@@ -31,9 +31,9 @@ free profile pairs with the same relation on shifted ones.  They share one
 the first (A, B) in row-major order.  The ground checks read the ground
 relation off the pair code, at the singletons and the empty profile.
 A relation is stored only as its 2-bit pair code (``RelationSet.code``):
-single cells, the efficiency checks and the scans that compare both
-directions of a pair read the code, and a check that needs a whole weak,
-strict, symmetric or incomparable part builds it once.
+single cells, the efficiency and weak-unanimity checks and the scans that
+compare both directions of a pair read the code, and a check that needs a
+whole weak, strict, symmetric or incomparable part builds it once.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .matrices import AuditContext, admit, context_for
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
-_EFFICIENCY_BLOCK = 256  # rows of the (A, B) grid the efficiency checks read at once
+_ROW_BLOCK = 256  # rows of the (A, B) grid a blocked pairwise scan reads at once
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,23 @@ def _monotony(ctx, rule, *, positive: bool):
 
 
 def _check_weakunanimity(ctx, rule):
-    weak, masks = ctx.rel(rule).weak, ctx.space.masks
-    pos, neg = masks & ctx.space.pos_mask, masks & ctx.space.neg_mask
-    return _pair_witness(ctx, _gather(weak, pos, pos) & _gather(weak, neg, neg) & ~weak)
+    # weak[A ∩ P, B ∩ P] has one distinct row per submask S of P: gather the
+    # rows weak[S, B ∩ P] once, then read row A ∩ P of them; the same for the cons.
+    code, space = ctx.rel(rule).code, ctx.space
+    sides = []
+    for side in (space.pos_mask, space.neg_mask):
+        subs, proj = space.submasks(side), space.masks & side
+        rows = (_gather(code, subs, proj) & 1).view(bool)
+        sides.append((rows, np.searchsorted(subs, proj)))
+    for start in range(0, space.size, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        viol = (code[block] & 1) == 0
+        for rows, at in sides:
+            viol &= rows.take(at[block], axis=0)
+        hit = _first(viol)
+        if hit:
+            return _witness(ctx, start + hit[0], hit[1])
+    return None
 
 
 def _check_nontriviality(ctx, rule):
@@ -365,12 +379,12 @@ def _efficiency(ctx, rule, *, positive: bool):
     code = ctx.rel(rule).code
     surplus_strict = code[:, 0] == 1 if positive else code[0, :] == 1
     kept = 1 if positive else 2
-    for start in range(0, ctx.space.size, _EFFICIENCY_BLOCK):
-        a = ctx.space.masks[start : start + _EFFICIENCY_BLOCK, None]
-        b = ctx.space.submasks(start | (_EFFICIENCY_BLOCK - 1))
+    for start in range(0, ctx.space.size, _ROW_BLOCK):
+        a = ctx.space.masks[start : start + _ROW_BLOCK, None]
+        b = ctx.space.submasks(start | (_ROW_BLOCK - 1))
         viol = (b & ~a) == 0  # B ⊆ A
         viol &= surplus_strict[a ^ b]
-        viol &= code[start : start + _EFFICIENCY_BLOCK].take(b, axis=1) != kept
+        viol &= code[start : start + _ROW_BLOCK].take(b, axis=1) != kept
         hit = _first(viol)
         if hit:
             return _witness(ctx, start + hit[0], b[hit[1]])

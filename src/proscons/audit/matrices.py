@@ -1,11 +1,16 @@
 """Vectorised weak-preference matrices, one per rule, over a profile space.
 
 ``weak[i, j]`` says profile ``i`` is weakly preferred to profile ``j``.
-``pareto``, ``bilexi`` and ``lexi`` are dominance over per-profile keys.
-A :class:`RelationSet` keeps only a rule's uint8 pair code,
-``code[i, j] = weak[i, j] | weak[j, i] << 1`` (bit 0: i ≽ j; bit 1: j ≽ i), so
-the weak part is bit 0 and the strict (1), symmetric (3) and incomparable (0)
-parts are one compare each.
+Each rule reads ``weak`` as a conjunction of terms ``left >= right`` over
+per-profile keys: ``pareto``, ``bilexi`` and ``lexi`` are dominance over
+keys, ``biposs`` and ``discri`` compare two orders of magnitude, and
+``impl`` asks which polarity reaches the joint top level.  Swapping the
+sides of every term gives ``weak[j, i]``, so a rule's uint8 pair code,
+``code[i, j] = weak[i, j] | weak[j, i] << 1`` (bit 0: i ≽ j; bit 1: j ≽ i),
+is built directly, block of rows by block of rows, with no transpose.
+A :class:`RelationSet` keeps only that code; the weak part is bit 0 and the
+strict (1), symmetric (3) and incomparable (0) parts are one compare each.
+A given weak matrix is coded by a transpose in square tiles.
 A bridge test checks every builder against the scalar rules pair by pair;
 the capacity-route builders and ``impl_cases_weak`` stay apart from these,
 so the bridge and encoding checks compare independent routes to one rule.
@@ -13,14 +18,15 @@ so the bridge and encoding checks compare independent routes to one rule.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..core import DecisionUniverse, TrivialUniverseError, UniverseMismatchError
 from ..rules import Rule
 from .space import PAIRWISE_BOUND, ProfileSpace, guard_size
 
-_ROW_BLOCK = 1024  # keeps intermediate index arrays small on larger spaces
-_CODE_BLOCK = 256  # side of the square tiles the pair code is transposed in
+_BLOCK = 256  # rows per built block, and the side of the tiles a given matrix is transposed in
 
 
 class RelationSet:
@@ -35,14 +41,19 @@ class RelationSet:
 
     def __init__(self, weak: np.ndarray):
         code = np.empty(weak.shape, dtype=np.uint8)
-        for i in range(0, len(weak), _CODE_BLOCK):  # tiles, not one strided transpose
-            for j in range(0, len(weak), _CODE_BLOCK):
-                code[i : i + _CODE_BLOCK, j : j + _CODE_BLOCK] = (
-                    weak[j : j + _CODE_BLOCK, i : i + _CODE_BLOCK].T
-                )
+        for i in range(0, len(weak), _BLOCK):  # tiles, not one strided transpose
+            for j in range(0, len(weak), _BLOCK):
+                code[i : i + _BLOCK, j : j + _BLOCK] = weak[j : j + _BLOCK, i : i + _BLOCK].T
         code <<= 1
         code |= weak
         self.code = code
+
+    @classmethod
+    def from_code(cls, code: np.ndarray) -> RelationSet:
+        """The relation whose pair code is ``code``, kept as it is."""
+        relation = cls.__new__(cls)
+        relation.code = code
+        return relation
 
     @property
     def weak(self) -> np.ndarray:
@@ -61,61 +72,141 @@ class RelationSet:
         return self.code == 0
 
 
-def _dominance(*keys: np.ndarray) -> np.ndarray:
+# A rule's terms for a block of rows: (left, right) pairs that broadcast to
+# (rows, profiles), with ``weak`` the conjunction of ``left >= right``.
+Terms = Callable[[slice], list[tuple[np.ndarray, np.ndarray]]]
+
+
+def _dominance(*keys: np.ndarray) -> Terms:
     """``weak[i, j]``: profile ``i``'s value is at least ``j``'s on every key."""
-    weak = keys[0][:, None] >= keys[0][None, :]
-    for key in keys[1:]:
-        weak &= key[:, None] >= key[None, :]
-    return weak
+    return lambda rows: [(key[rows, None], key[None, :]) for key in keys]
 
 
 def _lex_rank(rows: np.ndarray) -> np.ndarray:
     """Dense rank of each profile's row, flattened, in the lexicographic order of the rows."""
-    return np.unique(rows.reshape(len(rows), -1), axis=0, return_inverse=True)[1]
+    rank = np.unique(rows.reshape(len(rows), -1), axis=0, return_inverse=True)[1]
+    return rank.astype(np.min_scalar_type(len(rows)))
 
 
-def _pareto_weak(space: ProfileSpace) -> np.ndarray:
+def _pareto_terms(space: ProfileSpace) -> Terms:
     return _dominance(space.omp, -space.omn)
 
 
-def _biposs_weak(space: ProfileSpace) -> np.ndarray:
-    omp, omn = space.omp, space.omn
-    return np.maximum(omp[:, None], omn[None, :]) >= np.maximum(
-        omp[None, :], omn[:, None]
-    )
+def _orders_of_magnitude(space: ProfileSpace) -> tuple[np.ndarray, np.ndarray]:
+    """``omp`` and ``omn`` in the smallest unsigned type that holds every level."""
+    levels = np.min_scalar_type(len(space.universe.scale) - 1)
+    return space.omp.astype(levels), space.omn.astype(levels)
 
 
-def _impl_weak(space: ProfileSpace) -> np.ndarray:
-    omp, omn = space.omp, space.omn
+def _biposs_terms(space: ProfileSpace) -> Terms:
+    omp, omn = _orders_of_magnitude(space)
+    return lambda rows: [(
+        np.maximum(omp[rows, None], omn[None, :]), np.maximum(omp[None, :], omn[rows, None])
+    )]
+
+
+def _impl_terms(space: ProfileSpace) -> Terms:
+    # A reaches the joint top with a pro if B does, and B with a con if A does.
+    omp, omn = _orders_of_magnitude(space)
     peak = np.maximum(omp, omn)
-    top = np.maximum.outer(peak, peak)
-    first = (omp[None, :] != top) | (omp[:, None] == top)
-    second = (omn[:, None] != top) | (omn[None, :] == top)
-    return first & second
+
+    def terms(rows):
+        top = np.maximum.outer(peak[rows], peak)
+        return [(omp[rows, None] == top, omp[None, :] == top),
+                (omn[None, :] == top, omn[rows, None] == top)]
+
+    return terms
 
 
-def _discri_weak(space: ProfileSpace) -> np.ndarray:
-    omp, omn, masks = space.omp, space.omn, space.masks
-    weak = np.empty((space.size, space.size), dtype=bool)
-    for start in range(0, space.size, _ROW_BLOCK):
-        rows = masks[start : start + _ROW_BLOCK]
-        a_not_b = rows[:, None] & ~masks[None, :]
-        b_not_a = masks[None, :] & ~rows[:, None]
-        weak[start : start + _ROW_BLOCK] = np.maximum(
-            omp[a_not_b], omn[b_not_a]
-        ) >= np.maximum(omp[b_not_a], omn[a_not_b])
-    return weak
+def _half_table(omp, omn, width: int, shift: int) -> np.ndarray:
+    """``table[a, b] = max(omp[a ∖ b], omn[b ∖ a])`` over the ``width`` argument bits
+    from ``shift`` up, with ``a`` and ``b`` masks of those bits."""
+    sub = np.arange(1 << width)
+    a_not_b = (sub[:, None] & ~sub[None, :]) << shift
+    return np.maximum(omp[a_not_b], omn[a_not_b.T])
 
 
-def _bilexi_weak(space: ProfileSpace) -> np.ndarray:
+def _discri_terms(space: ProfileSpace) -> Terms:
+    # biposs of (A ∖ B, B ∖ A): the top pro of A ∖ B is the larger of its tops
+    # over the low and the high argument bits, so max(omp[A ∖ B], omn[B ∖ A])
+    # is the larger of one half table's cells; B ∖ A reads the transposes.
+    omp, omn = _orders_of_magnitude(space)
+    low = space.n // 2
+    upper, lower = _half_table(omp, omn, space.n - low, low), _half_table(omp, omn, low, 0)
+
+    def side(high_table, low_table, masks):
+        # Columns B run over the high bits, then the low bits: (rows, high, low), flattened.
+        high, lows = high_table[masks >> low], low_table[masks & (1 << low) - 1]
+        return np.maximum(high[:, :, None], lows[:, None, :]).reshape(len(masks), -1)
+
+    def terms(rows):
+        masks = space.masks[rows]
+        return [(side(upper, lower, masks), side(upper.T, lower.T, masks))]
+
+    return terms
+
+
+def _bilexi_terms(space: ProfileSpace) -> Terms:
     # Both keys are decided at the first level from the top where either tally differs, and
     # both favour A there exactly when A has at least as many pros and at most as many cons.
     pros, cons = space.pos_counts[:, :0:-1], -space.neg_counts[:, :0:-1]
     return _dominance(_lex_rank(np.dstack((pros, cons))), _lex_rank(np.dstack((cons, pros))))
 
 
-def _lexi_weak(space: ProfileSpace) -> np.ndarray:
+def _lexi_terms(space: ProfileSpace) -> Terms:
     return _dominance(_lex_rank((space.pos_counts - space.neg_counts)[:, :0:-1]))
+
+
+_TERMS = {
+    Rule.PARETO: _pareto_terms,
+    Rule.BIPOSS: _biposs_terms,
+    Rule.IMPL: _impl_terms,
+    Rule.DISCRI: _discri_terms,
+    Rule.BILEXI: _bilexi_terms,
+    Rule.LEXI: _lexi_terms,
+}
+
+
+def _row_blocks(size: int):
+    return (slice(start, start + _BLOCK) for start in range(0, size, _BLOCK))
+
+
+def _holds(terms, out: np.ndarray, *, swapped: bool = False) -> None:
+    """``out`` = every ``left >= right`` (``right >= left`` when ``swapped``)."""
+    for k, pair in enumerate(terms):
+        left, right = pair[::-1] if swapped else pair
+        if k == 0:
+            np.greater_equal(left, right, out=out)
+        else:
+            out &= left >= right
+
+
+def weak_matrix(space: ProfileSpace, rule: Rule) -> np.ndarray:
+    weak = np.empty((space.size, space.size), dtype=bool)
+    terms = _TERMS[rule](space)
+    for rows in _row_blocks(space.size):
+        _holds(terms(rows), weak[rows])
+    return weak
+
+
+def _code_block(terms, block: np.ndarray) -> None:
+    _holds(terms, block.view(bool), swapped=True)
+    block <<= 1
+    weak = np.empty(block.shape, dtype=bool)
+    _holds(terms, weak)
+    block |= weak
+
+
+def pair_code(space: ProfileSpace, rule: Rule) -> np.ndarray:
+    """The rule's pair code, bit 1 from its terms with the sides swapped.
+
+    Only one block's terms are alive at a time, besides the code.
+    """
+    code = np.empty((space.size, space.size), dtype=np.uint8)
+    terms = _TERMS[rule](space)
+    for rows in _row_blocks(space.size):
+        _code_block(terms(rows), code[rows])
+    return code
 
 
 def impl_cases_weak(space: ProfileSpace) -> np.ndarray:
@@ -139,20 +230,6 @@ def impl_cases_weak(space: ProfileSpace) -> np.ndarray:
         | ((bp == bn) & (bn == ap) & (ap > an))
     )
     return sim | strict_first
-
-
-_BUILDERS = {
-    Rule.PARETO: _pareto_weak,
-    Rule.BIPOSS: _biposs_weak,
-    Rule.IMPL: _impl_weak,
-    Rule.DISCRI: _discri_weak,
-    Rule.BILEXI: _bilexi_weak,
-    Rule.LEXI: _lexi_weak,
-}
-
-
-def weak_matrix(space: ProfileSpace, rule: Rule) -> np.ndarray:
-    return _BUILDERS[rule](space)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +295,7 @@ class AuditContext:
 
     def rel(self, rule: Rule) -> RelationSet:
         if rule not in self._relations:
-            self._relations[rule] = RelationSet(weak_matrix(self.space, rule))
+            self._relations[rule] = RelationSet.from_code(pair_code(self.space, rule))
         return self._relations[rule]
 
 

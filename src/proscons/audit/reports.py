@@ -64,7 +64,7 @@ class EmptySweepError(ProblemError):
 # ---------------------------------------------------------------------------
 
 def _check_reflexive(ctx, rule):
-    diagonal = ctx.rel(rule).weak.diagonal()
+    diagonal = ctx.rel(rule).code.diagonal() & 1
     if diagonal.all():
         return None
     return _witness(ctx, np.argmin(diagonal))

@@ -1,6 +1,7 @@
 """Audit harness: enumeration, axiom checks, witnesses, bundles, searches."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,23 @@ class TestEnumeration:
                     for j, b in enumerate(profiles):
                         assert bool(weak[i, j]) == compare(rule, a, b).first_weak
 
+    def test_twelve_argument_codes_agree_with_scalar_rules(self):
+        # At 12 arguments a 256-row block spans four high-half values of the
+        # discri half tables, and each of the 16 blocks is built on its own.
+        u = make_universe(5, [
+            ("p0", "pro", 4), ("n1", "con", 3), ("p2", "pro", 1), ("z3", "pro", 0),
+            ("n4", "con", 4), ("p5", "pro", 2), ("n6", "con", 1), ("p7", "pro", 3),
+            ("n8", "con", 2), ("p9", "pro", 4), ("n10", "con", 4), ("p11", "pro", 1),
+        ])
+        ctx = AuditContext(u)
+        rng = np.random.default_rng(12)
+        for rule in Rule:
+            code = ctx.rel(rule).code
+            for i, j in rng.integers(ctx.space.size, size=(2000, 2)).tolist():
+                a, b = ctx.space.profile(i), ctx.space.profile(j)
+                assert code[i, j] & 1 == compare(rule, a, b).first_weak, (rule, i, j)
+                assert code[i, j] >> 1 == compare(rule, b, a).first_weak, (rule, i, j)
+
 
 class TestRelationSet:
     @pytest.mark.parametrize("n", range(13))
@@ -119,6 +137,20 @@ class TestRelationSet:
         w = np.random.default_rng(0).integers(2, size=(side, side), dtype=bool)
         kept = vars(RelationSet(w)).values()
         assert sum(v.nbytes for v in kept if isinstance(v, np.ndarray)) <= side * side
+
+    def test_pair_codes_are_built_in_row_blocks(self):
+        # A code is N² bytes; its build may hold at most half that again.
+        u = make_universe(5, [(f"x{i}", "pro" if i % 3 else "con", 1 + i % 4)
+                              for i in range(12)])
+        limit = 1.5 * (1 << 12) ** 2
+        for rule in Rule:
+            tracemalloc.start()
+            try:
+                AuditContext(u).rel(rule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (rule, peak / limit)
 
 
 class TestCheckAxiom:

@@ -232,6 +232,34 @@ def test_weak_matrices_are_the_scalar_rules(case):
 
 
 @st.composite
+def coded_universes(draw):
+    """1 to 9 arguments, null ones allowed, of mixed polarity or all pros or all cons;
+    odd counts split the discri half tables unequally (n = 1: an empty low half)."""
+    n = draw(st.integers(1, 9))
+    num_levels = draw(st.integers(2, 6))
+    polarity = draw(st.sampled_from([None, Polarity.PRO, Polarity.CON]))
+    specs = [(polarity or draw(st.sampled_from(list(Polarity))),
+              draw(st.integers(0, num_levels - 1))) for _ in range(n)]
+    if all(level == 0 for _, level in specs):
+        specs[draw(st.integers(0, n - 1))] = (specs[0][0], num_levels - 1)
+    scale = ImportanceScale(tuple(f"l{i}" for i in range(num_levels)))
+    return DecisionUniverse(
+        scale, tuple(Argument(f"x{i}", pol, lvl) for i, (pol, lvl) in enumerate(specs))
+    )
+
+
+@deterministic
+@given(coded_universes())
+def test_built_codes_are_the_coded_weak_matrices(universe):
+    # Bit 1 of a built code comes from the rule's terms with the sides swapped;
+    # it must be bit 0 transposed, as the tiled transpose of a given matrix makes it.
+    ctx = AuditContext(universe)
+    for rule in Rule:
+        expected = RelationSet(weak_matrix(ctx.space, rule)).code
+        assert np.array_equal(ctx.rel(rule).code, expected), rule
+
+
+@st.composite
 def cue_problems(draw):
     """Pro cues on pairwise distinct levels, and two options holding some of them."""
     num_levels = draw(st.integers(2, MAX_LEVELS))
@@ -482,6 +510,50 @@ def test_shift_and_ground_checks_match_their_definitions(ctx):
     broken = np.argwhere(~g & ~g.T).size + np.argwhere(g[:, :, None] & g & ~g[:, None, :]).size
     found = CHECKS["simplegrounding"].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
     assert (found == Witness(note="ground")) == bool(broken)
+
+
+@st.composite
+def unanimity_contexts(draw):
+    """Audit context over 2 to 9 arguments: pros and cons interleaved, or only
+    pros (N = ∅), or only cons (P = ∅), with one null argument among them;
+    its ``lexi`` relation is installed at random.  The relation is random
+    cells, or ties every A in the first 256 rows to every B (so no
+    violation lies in the first row block), or an additive score's order,
+    which weak unanimity never breaks."""
+    n = draw(st.integers(2, 9))
+    layout = draw(st.sampled_from(["interleaved", "pros", "cons"]))
+    null = draw(st.integers(0, n - 1))
+    args = []
+    for i in range(n):
+        con = layout == "cons" or (layout == "interleaved" and i % 2 == 1)
+        polarity = Polarity.CON if con else Polarity.PRO
+        args.append(Argument(f"x{i}", polarity, 0 if i == null else 1 + i % 3))
+    ctx = AuditContext(DecisionUniverse(ImportanceScale(("l0", "l1", "l2", "l3")), tuple(args)))
+    size = ctx.space.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cells", "late", "additive"]))
+    if kind == "additive":
+        score = (np.arange(size)[:, None] >> np.arange(n) & 1) @ rng.integers(-2, 3, size=n)
+        w = score[:, None] >= score[None, :]
+    else:
+        w = rng.random((size, size)) < draw(st.sampled_from([0.5, 0.9]))
+        if kind == "late":
+            w[:256] = True
+    ctx._relations[Rule.LEXI] = RelationSet(w)
+    return ctx, w
+
+
+@deterministic
+@given(unanimity_contexts())
+def test_weakunanimity_names_the_first_cell_of_its_grid(case):
+    ctx, w = case
+    names, u = ctx.space.names, ctx.universe
+    pos = sum(1 << i for i, name in enumerate(names) if name in u.pros)
+    neg = sum(1 << i for i, name in enumerate(names) if name in u.cons)
+    a, b = np.ix_(ctx.space.masks, ctx.space.masks)
+    hits = np.argwhere(w[a & pos, b & pos] & w[a & neg, b & neg] & ~w[a, b])
+    expected = _witness(ctx, *hits[0]) if len(hits) else None
+    assert CHECKS["weakunanimity"].verdict(Rule.LEXI, u, context=ctx).witness == expected
 
 
 def _oracle(ctx):
