@@ -1,18 +1,23 @@
-"""Axiom checks: exhaustive quantifier sweeps with counterexample extraction.
+"""Every audit check, declared once, in the one registry ``CHECKS``.
 
-Every axiom is implemented twice, on purpose:
+A check is one :class:`Check` record, looked up by the name its verdicts
+carry.  ``CHECKS`` holds the paper's axioms (one per :class:`Axiom`
+value), the relation properties ``reflexive`` and ``sym_transitive``, the
+refinement checks (``refinement_name(coarse, fine)`` and
+``refines_biposs``), the ground premise ``unbiased_ground``, the exchange
+corollaries named in ``COROLLARIES`` and the encoding agreements named in
+``ENCODINGS``.  Every check is implemented twice, on purpose:
 
 * a vectorised sweep over the bitmask profile space; it returns the first
   violating instance in a documented deterministic order, or ``None``;
 * a scalar replay that re-evaluates one witness through the public
   comparison functions and confirms the violation is genuine.
 
-Both, with the enumeration bound, make up the axiom's :class:`Check`
-record in ``AXIOMS``.  The replay route never touches the matrices,
-so a witness that replays is evidence against the rule, not against the
-sweep machinery.  A check family has one replay, parametrised as its sweep
-is (``positive``, ``strict_parts`` or the relation part it tests) and bound
-with ``partial``.
+The replay route never touches the matrices, so a witness that replays is
+evidence against the rule, not against the sweep machinery.  A check
+family has one replay, parametrised as its sweep is (``positive``,
+``strict_parts`` or the relation part it tests) and bound with
+``partial``.
 
 Some sweeps first decide with a cheaper exact kernel and scan for the
 witness only when it finds a violation: transitivity with a matrix product,
@@ -25,11 +30,15 @@ read one (A, B, C) gather (``_row_unions``).  Every rectangular gather is
 one ``take`` pass per axis (``_gather``).
 
 The exchange-type checks (``sqc``, ``xmonotony``, ``prefindependence``,
-``anonymity`` and the three independence corollaries) compare a relation on
-free profile pairs with the same relation on shifted ones.  They share one
-``_shift_scan``, whose witness is the first shift in the check's order, then
-the first (A, B) in row-major order.  The ground checks read the ground
-relation off the pair code, at the singletons and the empty profile.
+``anonymity`` and the three corollaries) compare a relation on free
+profile pairs with the same relation on shifted ones.  Each lists its
+shifts as plain data for one ``_shift_scan``: ``(row_free, col_free,
+views, masks, args)``, where A ranges over the submasks of ``row_free``,
+B over those of ``col_free``, each view ``(r, c)`` reads the pair
+(A | r, B | c), and the witness is (A, B, *masks) with ``args``.  The
+ground checks read the ground relation off the pair code, at the
+singletons and the empty profile.
+
 A relation is stored only as its 2-bit pair code (``RelationSet.code``):
 single cells, the efficiency and weak-unanimity checks and the scans that
 compare both directions of a pair read the code, and a check that needs a
@@ -39,14 +48,22 @@ whole weak, strict, symmetric or incomparable part builds it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
 from ..core import DecisionUniverse, Outcome
-from ..rules import Axiom, Rule, compare, ground_relation
-from .matrices import AuditContext, admit, context_for
+from ..encodings import compare_bilexi_np, compare_np
+from ..rules import EMPTY_LABEL, Axiom, Rule, compare, compare_impl_cases, ground_relation
+from .matrices import (
+    AuditContext,
+    admit,
+    capacity_bilexi_weak_matrix,
+    context_for,
+    impl_cases_weak,
+    np_weak_matrix,
+)
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
@@ -93,20 +110,15 @@ class AuditVerdict:
 
 @dataclass(frozen=True)
 class Check:
-    """One named audit check, declared once.
+    """One named audit check, declared once in ``CHECKS``.
 
     ``sweep(context, rule)`` quantifies over the universe's profiles with
-    the relation matrices and returns the first witness, or ``None``;
-    sweeps name a witness's profile masks through ``_witness``.  For
-    ``gclo`` and ``gneg`` (and the transitivity checks) the sweep decides
-    with a closure kernel, and only on a violation does its scanner run and
-    name the first witness in the documented order; the monotony sweeps
-    decide and name in one pass.
-    The exchange-type sweeps list their shifts for ``_shift_scan``, which
-    names the first shift, then the first (A, B) row-major, that breaks.
-    ``replay(rule, universe, witness)`` re-checks a witness through the
-    scalar comparison functions only.  ``bound`` is the largest universe
-    the sweep may enumerate.
+    the relation matrices and returns the first witness in the check's
+    documented order, or ``None``.  ``replay(rule, universe, witness)``
+    re-checks a witness through the scalar comparison functions only.
+    ``bound`` is the largest universe the sweep may enumerate: checks over
+    pairs get ``PAIRWISE_BOUND``, those over three or four subsets
+    ``TUPLE_BOUND``.
     """
 
     name: str
@@ -154,19 +166,22 @@ def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
     return values.take(rows, axis=0).take(cols, axis=1)
 
 
-def _shift_scan(values: np.ndarray, shifts, differ) -> Witness | None:
+def _shift_scan(ctx: AuditContext, values: np.ndarray, shifts, differ) -> Witness | None:
     """Witness at the first shift, then the first (A, B) row-major, that ``differ`` flags.
 
-    ``values`` is a relation matrix.  A shift is ``(rows, cols, views,
-    tail)``: A ranges over ``rows`` and B over ``cols``, both ascending; each
-    view ``(r, c)`` gathers the pair (A | r, B | c), and ``differ`` maps the
-    views to a (rows, cols) mask.  ``tail(A, B)`` builds the witness; it is
-    called before the next shift is drawn, so ``shifts`` may be a generator.
+    ``values`` is a relation matrix.  A shift is ``(row_free, col_free,
+    views, masks, args)``: A ranges over the submasks of ``row_free`` and B
+    over those of ``col_free``, both ascending; each view ``(r, c)``
+    gathers the pair (A | r, B | c), and ``differ`` maps the views to a
+    (rows, cols) mask.  The witness is (A, B, *masks) with ``args``.  Each
+    free set is selected once per scan, however many shifts share it.
     """
-    for rows, cols, views, tail in shifts:
+    select = cache(ctx.space.submasks)
+    for row_free, col_free, views, masks, args in shifts:
+        rows, cols = select(row_free), select(col_free)
         hit = _first(differ(*(_gather(values, rows | r, cols | c) for r, c in views)))
         if hit:
-            return tail(rows[hit[0]], cols[hit[1]])
+            return _witness(ctx, rows[hit[0]], cols[hit[1]], *masks, args=args)
     return None
 
 
@@ -196,11 +211,10 @@ def _check_ca(ctx: AuditContext, rule: Rule):
 def _check_sqc(ctx: AuditContext, rule: Rule):
     # Shifts: the arguments the rule itself deems worthless, by index.
     rel = ctx.rel(rule)
-    masks = ctx.space.masks
-    shifts = ((masks, masks, ((0, 0), (1 << i, 0), (0, 1 << i)),
-               lambda a, b: _witness(ctx, a, b, args=(name,)))
+    full = ctx.space.full_mask
+    shifts = ((full, full, ((0, 0), (1 << i, 0), (0, 1 << i)), (), (name,))
               for i, name in enumerate(ctx.space.names) if rel.code[1 << i, 0] == 3)
-    return _shift_scan(rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
+    return _shift_scan(ctx, rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
 
 
 def _monotony_scan(ctx, weak, side, *, positive: bool):
@@ -270,11 +284,11 @@ def _check_xmonotony(ctx, rule):
     # Shifts: (x, x') by argument index, x ≠ x' and x' ≽ x.
     rel = ctx.rel(rule)
     space = ctx.space
-    shifts = ((space.disjoint_from(1 << i | 1 << j), space.masks,
-               ((1 << i, 0), (1 << j, 0)), lambda a, b: _witness(ctx, a, b, args=(x, xp)))
+    full = space.full_mask
+    shifts = ((full & ~(1 << i | 1 << j), full, ((1 << i, 0), (1 << j, 0)), (), (x, xp))
               for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
               if i != j and rel.code[1 << j, 1 << i] & 1)
-    return _shift_scan(rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
+    return _shift_scan(ctx, rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
 
 
 def _cancellation(ctx, rule, *, positive: bool):
@@ -393,12 +407,10 @@ def _efficiency(ctx, rule, *, positive: bool):
 
 def _check_prefindependence(ctx, rule):
     # Shifts: C ascending; A and B range over the profiles disjoint from C.
-    def shifts():
-        for c in range(1, ctx.space.size):
-            rest = ctx.space.disjoint_from(c)
-            yield rest, rest, ((0, 0), (c, c)), lambda a, b: _witness(ctx, a, b, c)
-
-    return _shift_scan(ctx.rel(rule).weak, shifts(), np.not_equal)
+    full = ctx.space.full_mask
+    shifts = ((full & ~c, full & ~c, ((0, 0), (c, c)), (c,), ())
+              for c in range(1, ctx.space.size))
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts, np.not_equal)
 
 
 def _check_completeness(ctx, rule):
@@ -423,22 +435,89 @@ def _check_simplegrounding(ctx, rule):
     ground = _ground(ctx, rule)
     if not (ground | ground.T).all() or (_reach(ground) & ~ground).any():
         return Witness(note="ground")
-    for sub in (Axiom.X_MONOTONY, Axiom.POSC, Axiom.NEGC):
-        witness = AXIOMS[sub].sweep(ctx, rule)
+    for sub in ("xmonotony", "posc", "negc"):
+        witness = CHECKS[sub].sweep(ctx, rule)
         if witness is not None:
-            return Witness(
-                profiles=witness.profiles, args=witness.args, note=sub.value
-            )
+            return Witness(profiles=witness.profiles, args=witness.args, note=sub)
     return None
 
 
 def _check_anonymity(ctx, rule):
     # Shifts: (C, D) row-major over indifferent pairs; A is disjoint from both.
     rel = ctx.rel(rule)
-    shifts = ((ctx.space.disjoint_from(c | d), ctx.space.masks, ((c, 0), (d, 0)),
-               lambda a, b: _witness(ctx, a, b, c, d))
+    full = ctx.space.full_mask
+    shifts = ((full & ~(c | d), full, ((c, 0), (d, 0)), (c, d), ())
               for c, d in _indifferent_pairs(rel))
-    return _shift_scan(rel.code, shifts, np.not_equal)
+    return _shift_scan(ctx, rel.code, shifts, np.not_equal)
+
+
+def _check_reflexive(ctx, rule):
+    diagonal = ctx.rel(rule).code.diagonal() & 1
+    if diagonal.all():
+        return None
+    return _witness(ctx, np.argmin(diagonal))
+
+
+def refinement_name(coarse: Rule, fine: Rule) -> str:
+    return f"refines:{coarse.value}->{fine.value}"
+
+
+def _refinement_witness(coarse, ctx, fine):
+    viol = ctx.rel(coarse).strict & ~ctx.rel(fine).strict
+    return _pair_witness(ctx, viol, refinement_name(coarse, fine))
+
+
+def _check_unbiased_ground(ctx, rule):
+    mine, base = _ground(ctx, rule), _ground(ctx, Rule.BIPOSS)
+    hit = _first((mine != base) | (mine.T != base.T))
+    if hit is None:
+        return None
+    items = ctx.space.names + (EMPTY_LABEL,)
+    return Witness(args=tuple(items[i] for i in hit), note="unbiased_ground")
+
+
+# The exchange principles that follow from transitivity plus independence.
+COROLLARIES = (
+    "add_indifferent_set",
+    "swap_indifferent_sets",
+    "swap_indifferent_singletons",
+)
+
+
+def _check_add_indifferent_set(ctx, rule):
+    # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
+    # Shifts: C ascending.
+    rel = ctx.rel(rule)
+    full = ctx.space.full_mask
+    shifts = ((full & ~c, full, ((0, 0), (c, 0)), (c,), ())
+              for c in range(1, ctx.space.size) if rel.code[c, 0] == 3)
+    return _shift_scan(ctx, rel.code, shifts, np.not_equal)
+
+
+def _check_swap_indifferent_sets(ctx, rule):
+    # Swapping C ~ D across the two sides, both disjoint from A and B.
+    # Shifts: (C, D) row-major over indifferent pairs.
+    rel = ctx.rel(rule)
+    full = ctx.space.full_mask
+    shifts = ((full & ~(c | d), full & ~(c | d), ((0, 0), (c, d)), (c, d), ())
+              for c, d in _indifferent_pairs(rel))
+    return _shift_scan(ctx, rel.weak, shifts, np.not_equal)
+
+
+def _check_swap_indifferent_singletons(ctx, rule):
+    # Swapping single arguments x ~ y; x may already sit in B, y in A.
+    # Shifts: (x, y) by argument index.
+    rel = ctx.rel(rule)
+    space = ctx.space
+    full = space.full_mask
+    shifts = ((full & ~(1 << i), full & ~(1 << j), ((0, 0), (1 << i, 1 << j)), (), (x, y))
+              for i, x in enumerate(space.names) for j, y in enumerate(space.names)
+              if rel.code[1 << i, 1 << j] == 3)
+    return _shift_scan(ctx, rel.weak, shifts, np.not_equal)
+
+
+def _agreement(build, note, ctx, rule):
+    return _pair_witness(ctx, build(ctx.space) != ctx.rel(rule).weak, note)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +655,7 @@ def _replay_simplegrounding(rule, u, w):
     if w.note == "ground":
         return not ground_relation(rule, u).is_weak_order
     inner = Witness(profiles=w.profiles, args=w.args)
-    return AXIOMS[Axiom(w.note)].replay(rule, u, inner)
+    return CHECKS[w.note].replay(rule, u, inner)
 
 
 def _replay_anonymity(rule, u, w):
@@ -591,9 +670,73 @@ def _replay_anonymity(rule, u, w):
     )
 
 
-# Axioms quantifying over three or four subsets get the tighter bound.
-AXIOMS: dict[Axiom, Check] = {
-    Axiom(name): Check(name, bound, sweep, replay)
+def _replay_reflexive(rule, u, w):
+    a = u.option(w.profiles[0])
+    return not compare(rule, a, a).first_weak
+
+
+def _replay_refinement(coarse, rule, u, w):
+    a, b = (u.option(p) for p in w.profiles)
+    return _strict(coarse, a, b) and not _strict(rule, a, b)
+
+
+def _replay_unbiased_ground(rule, u, w):
+    def profile(item):
+        return u.empty if item == EMPTY_LABEL else u.option({item})
+
+    a, b = (profile(item) for item in w.args)
+    return compare(rule, a, b) != compare(Rule.BIPOSS, a, b)
+
+
+def _replay_add_indifferent_set(rule, u, w):
+    a, b, c = (u.option(p) for p in w.profiles)
+    if a.members & c.members or not _sym(rule, c, u.empty):
+        return False
+    return (
+        _weak(rule, a, b) != _weak(rule, a.union(c), b)
+        or _weak(rule, b, a) != _weak(rule, b, a.union(c))
+    )
+
+
+def _replay_swap_indifferent_sets(rule, u, w):
+    a, b, c, d = (u.option(p) for p in w.profiles)
+    if (a.members | b.members) & (c.members | d.members):
+        return False
+    if not _sym(rule, c, d):
+        return False
+    return _weak(rule, a, b) != _weak(rule, a.union(c), b.union(d))
+
+
+def _replay_swap_indifferent_singletons(rule, u, w):
+    a, b = (u.option(p) for p in w.profiles)
+    x, y = (u.option({name}) for name in w.args)
+    if w.args[0] in a.members or w.args[1] in b.members or not _sym(rule, x, y):
+        return False
+    return _weak(rule, a, b) != _weak(rule, a.union(x), b.union(y))
+
+
+def _replay_agreement(route, rule, u, w):
+    # Against the verdict's rule, as the sweep reads ``ctx.rel(rule)``; ``compare``
+    # is looked up per call, never bound in a ``partial``, so it can be swapped.
+    a, b = (u.option(p) for p in w.profiles)
+    return route(a, b) is not compare(rule, a, b)
+
+
+# ---------------------------------------------------------------------------
+# The check registry
+# ---------------------------------------------------------------------------
+
+# Each encoding check compares an independent route, as a matrix builder and as
+# a scalar comparison, with one rule: the rule named here, which the route must equal.
+ENCODINGS = (
+    ("np_equals_lexi", Rule.LEXI, np_weak_matrix, compare_np),
+    ("capacity_bilexi_equals_bilexi", Rule.BILEXI, capacity_bilexi_weak_matrix,
+     compare_bilexi_np),
+    ("impl_cases_agree", Rule.IMPL, impl_cases_weak, compare_impl_cases),
+)
+
+CHECKS: dict[str, Check] = {
+    name: Check(name, bound, sweep, replay)
     for name, bound, sweep, replay in (
         ("ca", PAIRWISE_BOUND, _check_ca, _replay_ca),
         ("sqc", PAIRWISE_BOUND, _check_sqc, _replay_sqc),
@@ -627,6 +770,29 @@ AXIOMS: dict[Axiom, Check] = {
          partial(_replay_transitive, part="weak")),
         ("simplegrounding", TUPLE_BOUND, _check_simplegrounding, _replay_simplegrounding),
         ("anonymity", TUPLE_BOUND, _check_anonymity, _replay_anonymity),
+        ("reflexive", PAIRWISE_BOUND, _check_reflexive, _replay_reflexive),
+        ("sym_transitive", TUPLE_BOUND, partial(_transitive_violation, part="sym"),
+         partial(_replay_transitive, part="sym")),
+        *(
+            (refinement_name(coarse, fine), PAIRWISE_BOUND,
+             partial(_refinement_witness, coarse), partial(_replay_refinement, coarse))
+            for coarse in Rule
+            for fine in Rule
+        ),
+        ("refines_biposs", PAIRWISE_BOUND, partial(_refinement_witness, Rule.BIPOSS),
+         partial(_replay_refinement, Rule.BIPOSS)),
+        ("unbiased_ground", PAIRWISE_BOUND, _check_unbiased_ground, _replay_unbiased_ground),
+        ("add_indifferent_set", TUPLE_BOUND, _check_add_indifferent_set,
+         _replay_add_indifferent_set),
+        ("swap_indifferent_sets", TUPLE_BOUND, _check_swap_indifferent_sets,
+         _replay_swap_indifferent_sets),
+        ("swap_indifferent_singletons", TUPLE_BOUND, _check_swap_indifferent_singletons,
+         _replay_swap_indifferent_singletons),
+        *(
+            (name, TUPLE_BOUND, partial(_agreement, build, name),
+             partial(_replay_agreement, route))
+            for name, _, build, route in ENCODINGS
+        ),
     )
 }
 
@@ -644,4 +810,4 @@ def check_axiom(
     documented deterministic order, if any.  Trivial universes are
     rejected: the axioms presuppose at least one argument that matters.
     """
-    return AXIOMS[axiom].verdict(rule, universe, context=context)
+    return CHECKS[axiom.value].verdict(rule, universe, context=context)

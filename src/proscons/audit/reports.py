@@ -1,54 +1,28 @@
-"""Report-level audits: relation properties, refinement chains, theorem bundles.
+"""Plans of checks, the theorem bundles, the public runners and the sweep driver.
 
-These compose the axiom checks into the larger claims the engine is meant
-to certify mechanically: which rules are complete or transitive, which
-rule refines which, and the two characterization bundles: the axiom set
-that singles out the order-of-magnitude rule, and the premise set that
-singles out the signed-count levelwise rule.
-
-Every check a report runs is one :class:`Check` record in ``CHECKS``,
-looked up by the name its verdicts carry; a plan of them runs on one
-universe through ``_run`` and on many through ``sweep``.
+Every check lives in ``axioms.CHECKS``; this module only decides which
+checks run, on which rules, and in what order.  A plan is a tuple of
+``(key, check, rule)`` entries: the key names the verdict, the check is a
+``CHECKS`` name.  ``_run`` runs a plan on one universe and one shared
+context; ``sweep`` runs it over many universes and keeps each key's first
+failure.  The runners (``relation_properties``, ``refinement_check``,
+``independence_corollaries``, ``encoding_equivalence``,
+``proposition_checks``) are fixed plans, and a :class:`Bundle` is the plan
+of one characterisation theorem: the axiom set that singles out the
+order-of-magnitude rule, or the premise set that singles out the
+signed-count levelwise rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from ..core import DecisionUniverse, ProblemError
-from ..encodings import compare_bilexi_np, compare_np
-from ..rules import EMPTY_LABEL, Rule, compare, compare_impl_cases
-from .axioms import (
-    AXIOMS,
-    Axiom,
-    AuditVerdict,
-    Check,
-    Witness,
-    _first,
-    _ground,
-    _indifferent_pairs,
-    _pair_witness,
-    _replay_transitive,
-    _shift_scan,
-    _strict,
-    _sym,
-    _transitive_violation,
-    _weak,
-    _witness,
-)
-from .matrices import (
-    AuditContext,
-    admit,
-    capacity_bilexi_weak_matrix,
-    context_for,
-    impl_cases_weak,
-    np_weak_matrix,
-)
-from .space import PAIRWISE_BOUND, TUPLE_BOUND, UniverseTooLargeError, iter_universes
+from ..rules import Rule
+from .axioms import CHECKS, COROLLARIES, ENCODINGS, Axiom, AuditVerdict, Witness, refinement_name
+from .matrices import AuditContext, admit, context_for
+from .space import UniverseTooLargeError, iter_universes
 
 
 class NoWitnessFoundError(ProblemError):
@@ -62,18 +36,6 @@ class EmptySweepError(ProblemError):
 # ---------------------------------------------------------------------------
 # Relation properties
 # ---------------------------------------------------------------------------
-
-def _check_reflexive(ctx, rule):
-    diagonal = ctx.rel(rule).code.diagonal() & 1
-    if diagonal.all():
-        return None
-    return _witness(ctx, np.argmin(diagonal))
-
-
-def _replay_reflexive(rule, u, w):
-    a = u.option(w.profiles[0])
-    return not compare(rule, a, a).first_weak
-
 
 _PROPERTIES = (
     ("complete", "completeness"),
@@ -98,20 +60,6 @@ def relation_properties(
 # Refinement
 # ---------------------------------------------------------------------------
 
-def refinement_name(coarse: Rule, fine: Rule) -> str:
-    return f"refines:{coarse.value}->{fine.value}"
-
-
-def _refinement_witness(coarse, ctx, fine):
-    viol = ctx.rel(coarse).strict & ~ctx.rel(fine).strict
-    return _pair_witness(ctx, viol, refinement_name(coarse, fine))
-
-
-def _replay_refinement(coarse, rule, u, w):
-    a, b = (u.option(p) for p in w.profiles)
-    return _strict(coarse, a, b) and not _strict(rule, a, b)
-
-
 def refinement_check(
     coarse: Rule,
     fine: Rule,
@@ -131,8 +79,8 @@ def find_strictness_witness(
     context: AuditContext | None = None,
 ) -> Witness | None:
     """First pair the coarse rule leaves unresolved but the fine rule decides."""
-    ctx = context_for(universe, context)
-    return _pair_witness(ctx, ctx.rel(fine).strict & ~ctx.rel(coarse).strict)
+    witness = CHECKS[refinement_name(fine, coarse)].sweep(context_for(universe, context), coarse)
+    return None if witness is None else Witness(witness.profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -164,75 +112,6 @@ def find_biposs_indifference_intransitivity(
 # Independence consequences (used by the levelwise rule's audit)
 # ---------------------------------------------------------------------------
 
-COROLLARIES = (
-    "add_indifferent_set",
-    "swap_indifferent_sets",
-    "swap_indifferent_singletons",
-)
-
-
-def _check_add_indifferent_set(ctx, rule):
-    # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
-    # Shifts: C ascending.
-    rel = ctx.rel(rule)
-    shifts = ((ctx.space.disjoint_from(c), ctx.space.masks, ((0, 0), (c, 0)),
-               lambda a, b: _witness(ctx, a, b, c))
-              for c in range(1, ctx.space.size) if rel.code[c, 0] == 3)
-    return _shift_scan(rel.code, shifts, np.not_equal)
-
-
-def _check_swap_indifferent_sets(ctx, rule):
-    # Swapping C ~ D across the two sides, both disjoint from A and B.
-    # Shifts: (C, D) row-major over indifferent pairs.
-    rel = ctx.rel(rule)
-
-    def shifts():
-        for c, d in _indifferent_pairs(rel):
-            free = ctx.space.disjoint_from(c | d)
-            yield free, free, ((0, 0), (c, d)), lambda a, b: _witness(ctx, a, b, c, d)
-
-    return _shift_scan(rel.weak, shifts(), np.not_equal)
-
-
-def _check_swap_indifferent_singletons(ctx, rule):
-    # Swapping single arguments x ~ y; x may already sit in B, y in A.
-    # Shifts: (x, y) by argument index.
-    rel = ctx.rel(rule)
-    space = ctx.space
-    shifts = ((space.disjoint_from(1 << i), space.disjoint_from(1 << j),
-               ((0, 0), (1 << i, 1 << j)), lambda a, b: _witness(ctx, a, b, args=(x, y)))
-              for i, x in enumerate(space.names) for j, y in enumerate(space.names)
-              if rel.code[1 << i, 1 << j] == 3)
-    return _shift_scan(rel.weak, shifts, np.not_equal)
-
-
-def _replay_add_indifferent_set(rule, u, w):
-    a, b, c = (u.option(p) for p in w.profiles)
-    if a.members & c.members or not _sym(rule, c, u.empty):
-        return False
-    return (
-        _weak(rule, a, b) != _weak(rule, a.union(c), b)
-        or _weak(rule, b, a) != _weak(rule, b, a.union(c))
-    )
-
-
-def _replay_swap_indifferent_sets(rule, u, w):
-    a, b, c, d = (u.option(p) for p in w.profiles)
-    if (a.members | b.members) & (c.members | d.members):
-        return False
-    if not _sym(rule, c, d):
-        return False
-    return _weak(rule, a, b) != _weak(rule, a.union(c), b.union(d))
-
-
-def _replay_swap_indifferent_singletons(rule, u, w):
-    a, b = (u.option(p) for p in w.profiles)
-    x, y = (u.option({name}) for name in w.args)
-    if w.args[0] in a.members or w.args[1] in b.members or not _sym(rule, x, y):
-        return False
-    return _weak(rule, a, b) != _weak(rule, a.union(x), b.union(y))
-
-
 def independence_corollaries(
     rule: Rule,
     universe: DecisionUniverse,
@@ -252,27 +131,6 @@ def independence_corollaries(
 # Encoding equivalences
 # ---------------------------------------------------------------------------
 
-def _agreement(build, note, ctx, rule):
-    return _pair_witness(ctx, build(ctx.space) != ctx.rel(rule).weak, note)
-
-
-def _replay_agreement(route, rule, u, w):
-    # Against the verdict's rule, as the sweep reads ``ctx.rel(rule)``; ``compare``
-    # is looked up per call, never bound in a ``partial``, so it can be swapped.
-    a, b = (u.option(p) for p in w.profiles)
-    return route(a, b) is not compare(rule, a, b)
-
-
-# Each check compares an independent route, as a matrix builder and as a scalar
-# comparison, with one rule: the rule named here, which the route must equal.
-_ENCODINGS = (
-    ("np_equals_lexi", Rule.LEXI, np_weak_matrix, compare_np),
-    ("capacity_bilexi_equals_bilexi", Rule.BILEXI, capacity_bilexi_weak_matrix,
-     compare_bilexi_np),
-    ("impl_cases_agree", Rule.IMPL, impl_cases_weak, compare_impl_cases),
-)
-
-
 def encoding_equivalence(
     universe: DecisionUniverse,
     *,
@@ -285,69 +143,13 @@ def encoding_equivalence(
     levelwise rule, and the case-split route against the definitional
     implicative rule.  Witnesses replay through the scalar functions.
     """
-    plan = tuple((name, name, rule) for name, rule, _, _ in _ENCODINGS)
+    plan = tuple((name, name, rule) for name, rule, _, _ in ENCODINGS)
     return _run(plan, universe, context)
 
 
 # ---------------------------------------------------------------------------
-# Ground ranking of single arguments (a theorem 2 premise)
+# Running a plan
 # ---------------------------------------------------------------------------
-
-def _check_unbiased_ground(ctx, rule):
-    mine, base = _ground(ctx, rule), _ground(ctx, Rule.BIPOSS)
-    hit = _first((mine != base) | (mine.T != base.T))
-    if hit is None:
-        return None
-    items = ctx.space.names + (EMPTY_LABEL,)
-    return Witness(args=tuple(items[i] for i in hit), note="unbiased_ground")
-
-
-def _replay_unbiased_ground(rule, u, w):
-    def profile(item):
-        return u.empty if item == "0" else u.option({item})
-
-    a, b = (profile(item) for item in w.args)
-    return compare(rule, a, b) != compare(Rule.BIPOSS, a, b)
-
-
-# ---------------------------------------------------------------------------
-# The check registry
-# ---------------------------------------------------------------------------
-
-CHECKS: dict[str, Check] = {
-    **{check.name: check for check in AXIOMS.values()},
-    **{
-        name: Check(name, bound, sweep, replay)
-        for name, bound, sweep, replay in (
-            ("reflexive", PAIRWISE_BOUND, _check_reflexive, _replay_reflexive),
-            ("sym_transitive", TUPLE_BOUND, partial(_transitive_violation, part="sym"),
-             partial(_replay_transitive, part="sym")),
-            *(
-                (refinement_name(coarse, fine), PAIRWISE_BOUND,
-                 partial(_refinement_witness, coarse),
-                 partial(_replay_refinement, coarse))
-                for coarse in Rule
-                for fine in Rule
-            ),
-            ("refines_biposs", PAIRWISE_BOUND, partial(_refinement_witness, Rule.BIPOSS),
-             partial(_replay_refinement, Rule.BIPOSS)),
-            ("unbiased_ground", PAIRWISE_BOUND, _check_unbiased_ground,
-             _replay_unbiased_ground),
-            ("add_indifferent_set", TUPLE_BOUND, _check_add_indifferent_set,
-             _replay_add_indifferent_set),
-            ("swap_indifferent_sets", TUPLE_BOUND, _check_swap_indifferent_sets,
-             _replay_swap_indifferent_sets),
-            ("swap_indifferent_singletons", TUPLE_BOUND,
-             _check_swap_indifferent_singletons, _replay_swap_indifferent_singletons),
-            *(
-                (name, TUPLE_BOUND, partial(_agreement, build, name),
-                 partial(_replay_agreement, route))
-                for name, _, build, route in _ENCODINGS
-            ),
-        )
-    },
-}
-
 
 Plan = tuple[tuple[str, str, Rule], ...]  # (key, check, rule); the key names the verdict
 
@@ -485,7 +287,7 @@ PROPOSITIONS = (
         (refinement_name(coarse, fine), refinement_name(coarse, fine), fine)
         for coarse, fine in REFINEMENT_CHAIN
     ),
-    *((name, name, rule) for name, rule, _, _ in _ENCODINGS),
+    *((name, name, rule) for name, rule, _, _ in ENCODINGS),
     *((f"lexi_{name}", name, Rule.LEXI) for name in COROLLARIES),
 )
 

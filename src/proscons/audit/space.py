@@ -92,10 +92,6 @@ class ProfileSpace:
         """All submasks of ``mask`` in increasing numeric order."""
         return self.masks[(self.masks & ~mask) == 0]
 
-    def disjoint_from(self, mask: int) -> np.ndarray:
-        """All profiles sharing no argument with ``mask``, increasing order."""
-        return self.submasks(self.full_mask & ~mask)
-
 
 def enumerate_profiles(
     universe: DecisionUniverse, bound: int = PAIRWISE_BOUND
@@ -110,12 +106,7 @@ def enumerate_profiles(
 # Universe sweeps
 # ---------------------------------------------------------------------------
 
-def iter_universes(
-    max_args: int,
-    num_levels: int,
-    *,
-    min_args: int = 1,
-) -> Iterator[DecisionUniverse]:
+def iter_universes(max_args: int, num_levels: int) -> Iterator[DecisionUniverse]:
     """All valid universes up to the given size, deduplicated up to renaming.
 
     A universe is determined, up to renaming its arguments, by how many
@@ -134,7 +125,7 @@ def iter_universes(
     for level in range(1, num_levels):
         classes.append((f"n{level}", Polarity.CON, level))
 
-    for n in range(max(min_args, 1), max_args + 1):
+    for n in range(1, max_args + 1):
         for combo in combinations_with_replacement(range(len(classes)), n):
             if all(classes[idx][2] == 0 for idx in combo):
                 continue  # trivial universe

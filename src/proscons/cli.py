@@ -275,11 +275,13 @@ def _parse_generate(bounds: str) -> tuple[int, int]:
         except ValueError:
             raise ProblemFormatError(f"--generate: bad bound {token!r}") from None
         if key in ("x", "args"):
-            max_args = number
+            seen, max_args = max_args, number
         elif key in ("l", "levels"):
-            levels = number
+            seen, levels = levels, number
         else:
             raise ProblemFormatError(f"--generate: unknown bound {key!r}")
+        if seen is not None:
+            raise ProblemFormatError(f"--generate: bound {key!r} given twice")
     if max_args is None or levels is None:
         raise ProblemFormatError('--generate needs both bounds, e.g. "|X|=5,|L|=3"')
     return max_args, levels

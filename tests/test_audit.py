@@ -1,5 +1,6 @@
 """Audit harness: enumeration, axiom checks, witnesses, bundles, searches."""
 
+import ast
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proscons.audit
 from proscons import (
     DecisionUniverse,
     Outcome,
@@ -155,7 +157,7 @@ class TestRelationSet:
 
 class TestCheckAxiom:
     def test_gneg_holds_for_biposs_at_four_arguments(self):
-        for u in iter_universes(4, 3, min_args=4):
+        for u in iter_universes(4, 3):
             assert check_axiom(Axiom.GNEG, Rule.BIPOSS, u).holds
 
     def test_pareto_incomplete_on_lucy(self, lucy):
@@ -469,6 +471,26 @@ class TestCheckRegistry:
         assert failures > 10
         assert {v.check for v in verdicts} >= {"reflexive", "sym_transitive",
                                                "refines_biposs", "unbiased_ground"}
+
+    def test_no_audit_module_imports_a_private_name_from_a_sibling(self):
+        # Every check lives beside the one registry, so no module needs another's helpers.
+        package = Path(proscons.audit.__file__).parent
+        siblings = {path.stem for path in package.glob("*.py")}
+        private = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                module = node.module or ""
+                if node.level == 1 or module.rpartition(".")[0] == "proscons.audit":
+                    if module.rpartition(".")[2] in siblings:
+                        private += [(path.name, alias.name) for alias in node.names
+                                    if alias.name.startswith("_")]
+        assert private == []
+
+    def test_every_key_names_its_record_and_every_axiom_is_registered(self):
+        assert all(key == check.name for key, check in CHECKS.items())
+        assert {axiom.value for axiom in Axiom} <= CHECKS.keys()
 
 
 class TestSweep:

@@ -433,6 +433,7 @@ class TestInputErrors:
             ("|X|=3,|Y|=3", "unknown bound 'y'"),
             ("|X|=3", "needs both bounds"),
             (",", "needs both bounds"),  # empty tokens are skipped, not bad bounds
+            ("|X|=2,|L|=2,|X|=1", "bound 'x' given twice"),
         ],
     )
     def test_bad_generate_bounds(self, capsys, bounds, fragment):
