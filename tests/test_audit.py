@@ -405,6 +405,72 @@ class TestWitnessReplayGallery:
         assert count > 50  # the sweep genuinely exercises failures
 
 
+P1A_P1B = [("p1a", "pro", 1), ("p1b", "pro", 1)]
+P1A_N1A = [("p1a", "pro", 1), ("n1a", "con", 1)]
+
+
+class TestReplayGuards:
+    # A replay refuses a witness with one precondition broken, though the rest
+    # of it still shows the violation: each case edits one slot of the sweep's
+    # first witness (a profile by index, or "args") and the replay must say no.
+    @pytest.mark.parametrize(
+        "check, rule, specs, slot, value",
+        [
+            ("xmonotony", "discri", [("p1a", "pro", 1), ("n1a", "con", 1), ("n1b", "con", 1)],
+             0, {"n1a"}),  # x in A
+            ("xmonotony", "discri", [*P1A_P1B, ("p1c", "pro", 1)], 0, {"p1b"}),  # x′ in A
+            ("xmonotony", "discri", [*P1A_P1B, ("n1a", "con", 1)], "args", ("p1a", "n1a")),
+            ("prefindependence", "pareto", P1A_P1B, 2, {"p1a", "p1b"}),  # C meets B
+            ("anonymity", "discri", [*P1A_P1B, ("p1c", "pro", 1)], 0, {"p1a"}),  # A meets C
+            ("anonymity", "biposs", P1A_N1A, 0, {"n1a"}),  # A meets D
+            ("anonymity", "biposs", P1A_N1A, 3, {"p1a"}),  # C ≁ D
+            ("add_indifferent_set", "biposs", P1A_N1A, 0, {"n1a"}),  # A meets C
+            ("add_indifferent_set", "biposs", P1A_N1A, 2, {"p1a"}),  # C ≁ ∅
+            ("swap_indifferent_sets", "pareto", [("z0a", "pro", 0), *P1A_P1B], 0, {"z0a"}),
+            ("swap_indifferent_sets", "pareto", [("z0a", "pro", 0), *P1A_P1B], 1,
+             {"p1a", "p1b"}),  # B meets C
+            ("swap_indifferent_sets", "pareto", [("z0a", "pro", 0), *P1A_P1B], 3, set()),
+            ("swap_indifferent_singletons", "biposs", [("p1a", "pro", 1), ("n2a", "con", 2)],
+             0, {"n2a"}),  # x in A
+            ("swap_indifferent_singletons", "pareto", P1A_P1B, 1, {"p1a", "p1b"}),  # y in B
+            ("swap_indifferent_singletons", "biposs", P1A_N1A, "args", ("p1a", "n1a")),
+        ],
+    )
+    def test_sweep_witness_with_one_precondition_broken_is_refused(
+        self, check, rule, specs, slot, value
+    ):
+        u, rule = make_universe(3, specs), Rule(rule)
+        witness = CHECKS[check].verdict(rule, u).witness
+        assert CHECKS[check].replay(rule, u, witness)
+        if slot == "args":
+            broken = Witness(witness.profiles, value, witness.note)
+        else:
+            profiles = list(witness.profiles)
+            assert profiles[slot] != value
+            profiles[slot] = frozenset(value)
+            broken = Witness(tuple(profiles), witness.args, witness.note)
+        assert not CHECKS[check].replay(rule, u, broken)
+
+    # No rule fails sqc or monotony in range, so these witnesses are built by hand:
+    # each would show a violation but for the one precondition it breaks.
+    @pytest.mark.parametrize(
+        "check, specs, witness",
+        [
+            ("sqc", P1A_P1B, Witness((frozenset(), frozenset({"p1b"})), ("p1a",))),  # x ≁ ∅
+            ("posmonotony", P1A_N1A, Witness((frozenset(),) * 2 + (frozenset({"n1a"}),
+                                                                   frozenset()))),
+            ("negmonotony", P1A_N1A, Witness((frozenset(),) * 3 + (frozenset({"p1a"}),))),
+        ],
+    )
+    def test_hand_built_witness_with_one_precondition_broken_is_refused(
+        self, check, specs, witness
+    ):
+        u = make_universe(3, specs)
+        for rule in Rule:
+            assert CHECKS[check].verdict(rule, u).holds
+            assert not CHECKS[check].replay(rule, u, witness)
+
+
 class TestClosureKernels:
     # The union kernel decides gclo and gneg, and its scanner names the
     # witness; the monotony scan decides and names in one pass.  Each must
