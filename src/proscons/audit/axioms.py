@@ -688,16 +688,6 @@ def _replay_unbiased_ground(rule, u, w):
     return compare(rule, a, b) != compare(Rule.BIPOSS, a, b)
 
 
-def _replay_add_indifferent_set(rule, u, w):
-    a, b, c = (u.option(p) for p in w.profiles)
-    if a.members & c.members or not _sym(rule, c, u.empty):
-        return False
-    return (
-        _weak(rule, a, b) != _weak(rule, a.union(c), b)
-        or _weak(rule, b, a) != _weak(rule, b, a.union(c))
-    )
-
-
 def _replay_swap_indifferent_sets(rule, u, w):
     a, b, c, d = (u.option(p) for p in w.profiles)
     if (a.members | b.members) & (c.members | d.members):
@@ -782,8 +772,9 @@ CHECKS: dict[str, Check] = {
         ("refines_biposs", PAIRWISE_BOUND, partial(_refinement_witness, Rule.BIPOSS),
          partial(_replay_refinement, Rule.BIPOSS)),
         ("unbiased_ground", PAIRWISE_BOUND, _check_unbiased_ground, _replay_unbiased_ground),
+        # Adding C is anonymity with D = ∅; its guards become C disjoint from A and C ~ ∅.
         ("add_indifferent_set", TUPLE_BOUND, _check_add_indifferent_set,
-         _replay_add_indifferent_set),
+         lambda rule, u, w: _replay_anonymity(rule, u, Witness((*w.profiles, frozenset())))),
         ("swap_indifferent_sets", TUPLE_BOUND, _check_swap_indifferent_sets,
          _replay_swap_indifferent_sets),
         ("swap_indifferent_singletons", TUPLE_BOUND, _check_swap_indifferent_singletons,

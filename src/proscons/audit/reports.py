@@ -215,8 +215,9 @@ class Bundle:
     """A premise set that exactly one rule, the designated one, satisfies.
 
     The designated rule passes every check on every universe; each of the
-    other rules fails some check somewhere, with a witness.  Calling the
-    bundle runs its checks in order on one universe.
+    other rules fails some check somewhere, with a witness that replays
+    (``sweep_bundle`` judges both).  Calling the bundle runs all its checks
+    in order on one universe.
     """
 
     name: str
@@ -229,9 +230,8 @@ class Bundle:
         universe: DecisionUniverse,
         *,
         context: AuditContext | None = None,
-        stop_at_first_failure: bool = False,
     ) -> BundleReport:
-        verdicts = _run(self.plan(rule), universe, context, stop=stop_at_first_failure)
+        verdicts = _run(self.plan(rule), universe, context)
         return BundleReport(self.name, rule, tuple(verdicts.values()))
 
     def plan(self, rule: Rule) -> Plan:
@@ -370,10 +370,13 @@ def sweep_bundle(
     """Run a bundle over every universe in the sweep, up to its first failure.
 
     With ``expect_all_hold`` the sweep succeeds iff no check ever fails;
-    without it, iff some check fails somewhere (the differential role).
-    The first failure, if any, comes back as the finding.
+    without it, iff some check fails somewhere with a witness that replays
+    through the scalar rules (the differential role).  The first failure,
+    if any, comes back as the finding.
     """
     plan = bundle.plan(rule)
     _, findings = sweep(plan, sweep_range(plan, max_args, levels), stop=True)
     finding = next((f for f in findings.values() if f is not None), None)
-    return (finding is None) == expect_all_hold, finding
+    if expect_all_hold or finding is None:
+        return (finding is None) == expect_all_hold, finding
+    return replay_witness(finding.verdict, finding.universe), finding

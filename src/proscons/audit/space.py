@@ -93,11 +93,10 @@ class ProfileSpace:
         return self.masks[(self.masks & ~mask) == 0]
 
 
-def enumerate_profiles(
-    universe: DecisionUniverse, bound: int = PAIRWISE_BOUND
-) -> list[OptionProfile]:
-    """Every subset of the universe as a profile, in deterministic bitmask order."""
-    guard_size(universe, bound)
+def enumerate_profiles(universe: DecisionUniverse) -> list[OptionProfile]:
+    """Every subset of the universe as a profile, in deterministic bitmask order,
+    for a universe within ``PAIRWISE_BOUND`` arguments."""
+    guard_size(universe, PAIRWISE_BOUND)
     space = ProfileSpace(universe)
     return [space.profile(m) for m in range(space.size)]
 

@@ -41,14 +41,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _resolve(path: str) -> Path:
@@ -299,20 +292,15 @@ def _found_in(finding):
     return {} if finding is None else _universe_json(finding.universe)
 
 
-def _bundle_sweep_result(designated, finding) -> tuple[bool, str]:
-    from .audit import replay_witness
+def _bundle_sweep_result(designated, ok, finding) -> str:
     if designated:
         if finding is None:
-            return True, "holds on every universe in range"
-        return False, f"FAILS: {finding.verdict.describe()}"
+            return "holds on every universe in range"
+        return f"FAILS: {finding.verdict.describe()}"
     if finding is None:
-        return False, "UNEXPECTEDLY passes the whole bundle in range"
-    verdict = finding.verdict
-    replayed = replay_witness(verdict, finding.universe)
-    return replayed, (
-        f"fails as expected ({verdict.check}; witness "
-        f"{'replays' if replayed else 'DOES NOT replay'})"
-    )
+        return "UNEXPECTEDLY passes the whole bundle in range"
+    return (f"fails as expected ({finding.verdict.check}; witness "
+            f"{'replays' if ok else 'DOES NOT replay'})")
 
 
 def _print_propositions(args, count, findings) -> int:
@@ -330,7 +318,7 @@ def _print_propositions(args, count, findings) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .audit import BUNDLES, PROPOSITIONS, AuditVerdict, sweep, sweep_range
+    from .audit import BUNDLES, PROPOSITIONS, AuditVerdict, sweep, sweep_bundle, sweep_range
     if (args.path is None) == (args.generate is None):
         raise ProblemFormatError("audit needs a problem file or --generate, not both")
     if (args.axiom is None) == (args.bundle is None):
@@ -338,7 +326,7 @@ def cmd_audit(args) -> int:
     if args.bundle is not None and args.expect is not None:
         raise ProblemFormatError("--expect applies to --axiom audits only")
 
-    rules = list(Rule) if args.rule in (None, "all") else [Rule(args.rule)]
+    rules = list(Rule) if args.rule == "all" else [Rule(args.rule)]
     generated = args.generate is not None
     if generated:
         max_args, levels = _parse_generate(args.generate)
@@ -355,20 +343,22 @@ def cmd_audit(args) -> int:
         return _print_propositions(args, *run(PROPOSITIONS, stop=False))
 
     bundle = BUNDLES.get(args.bundle)
-    plans = [bundle.plan(rule) if bundle else ((args.axiom, args.axiom, rule),)
-             for rule in rules]
-    found = [run(plan, stop=True)[1] for plan in plans]
     if bundle and generated:
         payload, lines = [], []
-        for rule, findings in zip(rules, found):
-            finding = next((f for f in findings.values() if f is not None), None)
-            ok, detail = _bundle_sweep_result(rule is bundle.designated, finding)
+        for rule in rules:
+            designated = rule is bundle.designated
+            ok, finding = sweep_bundle(bundle, rule, max_args=max_args, levels=levels,
+                                       expect_all_hold=designated)
+            detail = _bundle_sweep_result(designated, ok, finding)
             lines.append(f"{bundle.name:<10} {rule.value:<8} {'ok' if ok else 'FAIL'}  {detail}")
             payload.append({"bundle": bundle.name, "rule": rule.value, "ok": ok,
                             "detail": detail, **_found_in(finding)})
         _emit(args, {"results": payload}, lines)
         return EXIT_OK if all(entry["ok"] for entry in payload) else EXIT_AUDIT
 
+    plans = [bundle.plan(rule) if bundle else ((args.axiom, args.axiom, rule),)
+             for rule in rules]
+    found = [run(plan, stop=True)[1] for plan in plans]
     # Each entry's verdict is its first failure, else that it holds.
     verdicts = [
         findings[key].verdict if findings[key] else AuditVerdict(check, rule, True)
@@ -524,13 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
+    except SystemExit as exc:  # a usage error, or --help
         return exc.code
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)

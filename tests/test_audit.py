@@ -80,7 +80,6 @@ class TestEnumeration:
         u = make_universe(2, [(f"x{i}", "pro", 1) for i in range(13)])
         with pytest.raises(UniverseTooLargeError):
             enumerate_profiles(u)
-        assert len(enumerate_profiles(u, bound=13)) == 2**13
 
     def test_sweep_is_canonical_and_valid(self):
         seen = set()
@@ -330,7 +329,7 @@ class TestBundles:
     @pytest.mark.parametrize("rule", [r for r in Rule if r is not Rule.BIPOSS])
     def test_other_rules_fail_theorem1_with_replayable_witness(self, rule):
         for u in iter_universes(4, 3):
-            report = theorem1_bundle(rule, u, stop_at_first_failure=True)
+            report = theorem1_bundle(rule, u)
             if not report.all_hold:
                 verdict = report.failures[0]
                 assert verdict.witness is not None
@@ -341,7 +340,7 @@ class TestBundles:
     @pytest.mark.parametrize("rule", [r for r in Rule if r is not Rule.LEXI])
     def test_other_rules_fail_theorem2_with_replayable_witness(self, rule):
         for u in iter_universes(4, 3):
-            report = theorem2_bundle(rule, u, stop_at_first_failure=True)
+            report = theorem2_bundle(rule, u)
             if not report.all_hold:
                 verdict = report.failures[0]
                 if verdict.witness is not None:

@@ -26,7 +26,9 @@ from proscons import (
     serialize_problem,
 )
 from proscons import rules
-from proscons.audit import BUNDLES, CHECKS, Axiom, Witness, check_axiom, theorem1_bundle
+from proscons.audit import (
+    BUNDLES, CHECKS, Axiom, Witness, check_axiom, sweep_bundle, theorem1_bundle,
+)
 from proscons.cli import _verdict_json as verdict_json
 from proscons.cli import build_parser, main
 
@@ -378,7 +380,7 @@ class TestAudit:
             if rule is theorem1_bundle.designated:
                 assert "universe" not in entry
                 continue
-            report = theorem1_bundle(rule, universe_of(entry), stop_at_first_failure=True)
+            report = theorem1_bundle(rule, universe_of(entry))
             assert report.failures[0].check in entry["detail"]
 
     def test_audit_needs_exactly_one_mode(self, capsys):
@@ -459,6 +461,24 @@ class TestInputErrors:
         assert (code, err) == (2, "")
         assert out.split() == ["theorem1", "biposs", "FAIL", "FAILS:", "ca", "biposs", "FAIL",
                                "witness:", "p1a"]
+
+    def test_differential_failure_needs_a_witness_that_replays(self, capsys, monkeypatch):
+        # lexi is reflexive, so a forced reflexive witness for it does not replay:
+        # the library and the CLI both refuse it as the bundle's differential failure.
+        check = CHECKS["reflexive"]
+
+        def forced(ctx, rule):
+            return Witness((frozenset(),)) if rule is Rule.LEXI else check.sweep(ctx, rule)
+
+        monkeypatch.setitem(CHECKS, check.name, replace(check, sweep=forced))
+        ok, finding = sweep_bundle(theorem1_bundle, Rule.LEXI, max_args=2, levels=3,
+                                   expect_all_hold=False)
+        assert not ok and finding.verdict.check == "reflexive"
+        code, out, err = run(
+            capsys, "audit", "--generate", "|X|=2,|L|=3", "--bundle", "theorem1", "--rule", "lexi"
+        )
+        assert (code, err) == (2, "")
+        assert out == "theorem1   lexi     FAIL  fails as expected (reflexive; witness DOES NOT replay)\n"
 
 
 class TestAuditGolden:
