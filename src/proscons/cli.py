@@ -325,6 +325,8 @@ def cmd_audit(args) -> int:
         raise ProblemFormatError("audit needs exactly one of --axiom or --bundle")
     if args.bundle is not None and args.expect is not None:
         raise ProblemFormatError("--expect applies to --axiom audits only")
+    if args.bundle == "propositions" and args.rule != "all":
+        raise ProblemFormatError("--rule does not apply to --bundle propositions")
 
     rules = list(Rule) if args.rule == "all" else [Rule(args.rule)]
     generated = args.generate is not None
@@ -431,6 +433,11 @@ def cmd_capacities(args) -> int:
     _warn_if_trivial(problem, args.quiet)
     cap = BigSteppedCapacity.for_universe(problem.universe, args.base)
     rows = [(name, cap.of(p.pos), cap.of(p.neg)) for name, p in problem.options.items()]
+    limit = sys.get_int_max_str_digits()  # |np| is at most the larger capacity
+    for name, sp, sn in rows:
+        if limit and max(sp, sn) >= 10**limit:
+            raise ProblemFormatError(f"option {name!r}: a capacity has more than {limit} "
+                                     "digits, past Python's int-to-str limit")
     payload = {
         "base": cap.base,
         "options": {

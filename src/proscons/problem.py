@@ -174,8 +174,8 @@ def validate_document(data: dict) -> ValidationReport:
 def read_problem(path: str | Path) -> tuple[Problem | None, ValidationReport]:
     """Parse a problem file in one pass: the problem, if any, and every violation.
 
-    A file that cannot be read, is not UTF-8 or is not JSON yields one
-    ``ParseError`` and no problem.
+    A file that cannot be read, is not UTF-8, is not JSON or nests too
+    deeply for the parser yields one ``ParseError`` and no problem.
     """
     path = Path(path)
     try:
@@ -184,6 +184,8 @@ def read_problem(path: str | Path) -> tuple[Problem | None, ValidationReport]:
         message = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
     except json.JSONDecodeError as exc:
         message = f"{path}: invalid JSON ({exc})"
+    except RecursionError:
+        message = f"{path}: invalid JSON (nested too deeply)"
     except OSError as exc:
         message = f"{path}: {exc}"
     else:

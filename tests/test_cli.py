@@ -89,6 +89,14 @@ class TestValidate:
         assert code == 1
         assert payload["violations"][0]["code"] == "ParseError"
 
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "validate", str(deep))
+        assert (code, err) == (1, "")
+        assert out == f"ParseError: {deep}: invalid JSON (nested too deeply)\n"
+        assert_one_line_error(*run(capsys, "compare", str(deep), "a", "b"), "nested too deeply")
+
     def test_all_null_file_reports_trivial(self, capsys, tmp_path):
         doc = {
             "scale": ["zero", "one"],
@@ -194,6 +202,9 @@ class TestRank:
         assert payload["maximal"] == ["only"]
 
 
+AUDIT_SOURCES = (["luc"], ["--generate", "|X|=2,|L|=3"])
+
+
 class TestAudit:
     def test_axiom_on_file_reports_grid(self, capsys):
         code, payload, _ = run_json(
@@ -220,15 +231,22 @@ class TestAudit:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("bundle", ["propositions", "theorem1"])
-    @pytest.mark.parametrize("source", [["luc"], ["--generate", "|X|=2,|L|=3"]])
-    @pytest.mark.parametrize("expect", ["holds", "fails"])
-    def test_expect_with_bundle_is_refused(self, capsys, bundle, source, expect):
-        code, out, err = run(
-            capsys, "audit", *source, "--bundle", bundle, "--expect", expect
-        )
+    # A flag that a bundle audit would ignore is refused; ids are "<value>-source<i>-<bundle>".
+    @pytest.mark.parametrize("bundle, source, flag, message", [
+        *(pytest.param(bundle, source, ["--expect", expect],
+                       "--expect applies to --axiom audits only", id=f"{expect}-source{i}-{bundle}")
+          for bundle in ("propositions", "theorem1")
+          for i, source in enumerate(AUDIT_SOURCES)
+          for expect in ("holds", "fails")),
+        *(pytest.param("propositions", source, ["--rule", "lexi"],
+                       "--rule does not apply to --bundle propositions",
+                       id=f"lexi-source{i}-propositions")
+          for i, source in enumerate(AUDIT_SOURCES)),
+    ])
+    def test_expect_with_bundle_is_refused(self, capsys, bundle, source, flag, message):
+        code, out, err = run(capsys, "audit", *source, "--bundle", bundle, *flag)
         assert (code, out) == (1, "")
-        assert err == "error: --expect applies to --axiom audits only\n"
+        assert err == f"error: {message}\n"
 
     def test_generated_bundle_theorem1(self, capsys):
         code, out, _ = run(
@@ -578,6 +596,20 @@ class TestCapacities:
                     entry["sigma_pos"], entry["sigma_neg"], entry["np"]
                 ]
 
+    def test_capacity_past_the_int_to_str_limit_is_refused(self, capsys, tmp_path):
+        # One pro on the top of 10,000 levels: its sigma+ is 3**9999, 4,771 digits.
+        scale = [f"l{i}" for i in range(10_000)]
+        tall = tmp_path / "tall.json"
+        tall.write_text(json.dumps({
+            "scale": scale,
+            "arguments": [{"name": "top", "polarity": "pro", "level": scale[-1]}],
+            "options": {"a": ["top"], "b": []},
+        }))
+        limit = sys.get_int_max_str_digits()
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "capacities", str(tall), *flags)
+            assert_one_line_error(code, out, err, f"option 'a': a capacity has more than {limit}")
+
     def test_problem_without_arguments_gets_base_three(self, capsys, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({"scale": ["z", "a"], "arguments": [], "options": {"x": []}}))
@@ -690,6 +722,34 @@ class TestImportBoundary:
         codes, loaded = self.after(["audit", "luc", "--axiom", "ca", "--rule", "biposs"])
         assert codes == [0]
         assert loaded
+
+
+class TestProcessBoundary:
+    """Exit codes and streams as a shell sees them, from ``python -m proscons.cli``."""
+
+    @staticmethod
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "proscons.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        )
+
+    def test_usage_error_exits_1_with_the_usage_and_one_error_line(self):
+        done = self.cli("compare", "luc", "a")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("usage: proscons compare ")
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert errors == ["proscons compare: error: the following arguments are required: second"]
+        assert done.stderr.endswith(errors[0] + "\n")
+
+    def test_help_exits_0(self):
+        done = self.cli("--help")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: proscons ")
+
+    def test_data_error_exits_1_with_one_error_line(self):
+        done = self.cli("compare", "luc", "a", "zz")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: unknown option 'zz'\n")
 
 
 class TestRoundTrip:
