@@ -523,9 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
     except SystemExit as exc:  # a usage error, or --help
         return exc.code
+    try:
+        return args.func(args)
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

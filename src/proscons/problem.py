@@ -174,18 +174,19 @@ def validate_document(data: dict) -> ValidationReport:
 def read_problem(path: str | Path) -> tuple[Problem | None, ValidationReport]:
     """Parse a problem file in one pass: the problem, if any, and every violation.
 
-    A file that cannot be read, is not UTF-8, is not JSON or nests too
-    deeply for the parser yields one ``ParseError`` and no problem.
+    A file that cannot be read, is not UTF-8, is not JSON or is JSON that
+    the parser cannot take (nested too deeply, or a number with more digits
+    than Python's int-to-str limit) yields one ``ParseError`` and no problem.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         message = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-    except json.JSONDecodeError as exc:
-        message = f"{path}: invalid JSON ({exc})"
     except RecursionError:
         message = f"{path}: invalid JSON (nested too deeply)"
+    except ValueError as exc:  # a JSONDecodeError, or a number past the int-to-str limit
+        message = f"{path}: invalid JSON ({exc})"
     except OSError as exc:
         message = f"{path}: {exc}"
     else:
