@@ -90,11 +90,12 @@ class TestValidate:
         assert payload["violations"][0]["code"] == "ParseError"
 
     @pytest.mark.parametrize("text, reason", [
-        ("[" * 100_000, "nested too deeply"),
-        ("1" * 5000, "integer string conversion"),  # past the interpreter's 4,300 digits
+        pytest.param("[" * 100_000, "nested too deeply", id="nested"),
+        # Past the interpreter's int-to-str limit, 4,300 digits by default.
+        pytest.param("1" * 5000, "integer string conversion", id="long-number"),
     ])
     def test_json_past_the_parser_limits_is_a_parse_error(self, capsys, tmp_path, text, reason):
-        path = tmp_path / "deep.json"
+        path = tmp_path / "doc.json"
         path.write_text(text)
         code, out, err = run(capsys, "validate", str(path))
         assert (code, err) == (1, "")
