@@ -21,23 +21,24 @@ family has one replay, parametrised as its sweep is (``positive``,
 
 Some sweeps first decide with a cheaper exact kernel and scan for the
 witness only when it finds a violation: transitivity with a matrix product,
-``gclo``/``gneg`` with a subset convolution (``_union_closed``).  The
-scanner alone names the witness, so the kernel changes no witness or its
-order.  The monotony checks decide and name in one pass: a subset transform
+``gclo``/``gneg`` with a subset convolution (``_union_closed``), both float64
+products of whole matrices, exact within ``TUPLE_BOUND``.  The scanner alone
+names the witness, so the kernel changes no witness or its order.  The
+monotony checks decide and name in one pass: a product with the zeta matrix
 over the side's bits marks the weak pairs that break, and the first one's
 block of (C, C′) names the rest.  ``neg`` and the union part of ``clo``
 read one (A, B, C) gather (``_row_unions``).  Every rectangular gather is
 one ``take`` pass per axis (``_gather``).
 
-The exchange-type checks (``sqc``, ``xmonotony``, ``prefindependence``,
-``anonymity`` and the three corollaries) compare a relation on free
-profile pairs with the same relation on shifted ones.  Each lists its
-shifts as plain data for one ``_shift_scan``: ``(row_free, col_free,
-views, masks, args)``, where A ranges over the submasks of ``row_free``,
-B over those of ``col_free``, each view ``(r, c)`` reads the pair
-(A | r, B | c), and the witness is (A, B, *masks) with ``args``.  The
-ground checks read the ground relation off the pair code, at the
-singletons and the empty profile.
+The exchange-type checks compare a relation on free profile pairs with the
+same relation on shifted ones.  ``xmonotony`` reads all its shifts in one
+grid.  The others (``sqc``, ``prefindependence``, ``anonymity`` and the
+three corollaries) list their shifts as plain data for one ``_shift_scan``:
+``(row_free, col_free, views, masks, args)``, where A ranges over the
+submasks of ``row_free``, B over those of ``col_free``, each view ``(r, c)``
+reads the pair (A | r, B | c), and the witness is (A, B, *masks) with
+``args``.  The ground checks read the ground relation off the pair code, at
+the singletons and the empty profile.
 
 A relation is stored only as its 2-bit pair code (``RelationSet.code``):
 single cells, the efficiency and weak-unanimity checks and the scans that
@@ -198,8 +199,8 @@ def _ground(ctx: AuditContext, rule: Rule) -> np.ndarray:
 
 
 def _reach(base: np.ndarray) -> np.ndarray:
-    """Pairs joined by a two-step path in ``base``."""
-    return (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
+    """Pairs joined by a two-step path in ``base``; float counts, exact up to 2^53 paths."""
+    return (base.astype(float) @ base.astype(float)) > 0
 
 
 def _check_ca(ctx: AuditContext, rule: Rule):
@@ -223,15 +224,14 @@ def _monotony_scan(ctx, weak, side, *, positive: bool):
 
     ¬weak, spread over the side's bits from supersets to subsets on one
     axis and from subsets to supersets on the other, marks each (A, B) that
-    some (C, C′) breaks.  The first weak one is (A, B); (C, C′) is the
-    first of its block in row-major order.
+    some (C, C′) breaks: one product per axis with the zeta matrix masked to
+    the pairs that differ only in side bits.  The first weak one is (A, B);
+    (C, C′) is the first of its block in row-major order.
     """
-    n = ctx.space.n
-    bits = [i for i in range(n) if side >> i & 1]
-    broken = ~weak.reshape(-1)
-    _subset_transform(broken, np.logical_or, [n + i for i in bits], up=not positive)
-    _subset_transform(broken, np.logical_or, bits, up=positive)
-    hit = _first(weak & broken.reshape(weak.shape))
+    masks = ctx.space.masks
+    spread = _subset_matrices(ctx.space.size)[0] * (((masks[:, None] ^ masks) & ~side) == 0)
+    spread = spread.T if positive else spread
+    hit = _first(weak & ((spread @ ~weak @ spread) > 0))
     if hit is None:
         return None
     a, b = hit
@@ -281,14 +281,19 @@ _XMONOTONY_BREAKS = np.array([[0, 0, 1, 1], [1, 0, 1, 1], [0, 0, 0, 0], [1, 0, 1
 
 
 def _check_xmonotony(ctx, rule):
-    # Shifts: (x, x') by argument index, x ≠ x' and x' ≽ x.
-    rel = ctx.rel(rule)
-    space = ctx.space
-    full = space.full_mask
-    shifts = ((full & ~(1 << i | 1 << j), full, ((1 << i, 0), (1 << j, 0)), (), (x, xp))
-              for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
-              if i != j and rel.code[1 << j, 1 << i] & 1)
-    return _shift_scan(ctx, rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
+    # One grid: row k is the k-th (shift, A), column B.  Shifts: (x, x') by argument
+    # index, x ≠ x' and x' ≽ x; A ascending over the profiles without x or x'.
+    code, space = ctx.rel(rule).code, ctx.space
+    bits = 1 << np.arange(space.n)
+    x, xp = np.nonzero((_gather(code, bits, bits).T & 1 > 0) & ~np.eye(space.n, dtype=bool))
+    shift, a = np.nonzero((space.masks & (bits[x] | bits[xp])[:, None]) == 0)
+    x, xp = x[shift], xp[shift]
+    grid = _XMONOTONY_BREAKS[code.take(a | bits[x], axis=0), code.take(a | bits[xp], axis=0)]
+    hit = _first(grid)
+    if hit is None:
+        return None
+    k, b = hit
+    return _witness(ctx, a[k], b, args=(space.names[x[k]], space.names[xp[k]]))
 
 
 def _cancellation(ctx, rule, *, positive: bool):
@@ -334,15 +339,15 @@ def _check_clo(ctx, rule):
     return None
 
 
-def _subset_transform(values: np.ndarray, op, bits, *, up: bool = True) -> None:
-    """Zeta (``np.add``, or ``np.logical_or``) or Möbius (``np.subtract``)
-    transform, in place, over ``bits`` of the index of a C-contiguous vector:
-    ``up`` carries each subset's value to its supersets, else the reverse."""
-    for bit in bits:
-        view = values.reshape(-1, 2, 1 << bit)
-        low, high = view[:, 0], view[:, 1]
-        dst, src = (high, low) if up else (low, high)
-        op(dst, src, out=dst)
+@cache
+def _subset_matrices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeta matrix Z over ``size`` subsets (Z[s, t] = 1 iff t ⊆ s) and its
+    Möbius inverse, in float64; read-only, as every caller shares them."""
+    zeta = mobius = np.ones((1, 1))
+    for _ in range(size.bit_length() - 1):
+        zeta, mobius = np.kron(zeta, [[1, 0], [1, 1]]), np.kron(mobius, [[1, 0], [-1, 1]])
+    zeta.flags.writeable = mobius.flags.writeable = False
+    return zeta, mobius
 
 
 def _union_closed(base: np.ndarray) -> bool:
@@ -352,15 +357,13 @@ def _union_closed(base: np.ndarray) -> bool:
     (a|c, b|d) is the union of two pairs.  So ``base`` is union-closed iff
     its OR-convolution with itself, computed as a fast subset convolution
     (zeta transform, square, Möbius transform; Björklund, Husfeldt, Kaski
-    and Koivisto, STOC 2007), is zero off ``base``.  O(n·4^n) in about 4n
-    numpy calls; the counts stay below 2^(4n) in int64.
+    and Koivisto, STOC 2007), is zero off ``base``.  Products with the subset
+    matrices; exact, as within ``TUPLE_BOUND`` no partial sum reaches 2^36 < 2^53.
     """
-    counts = base.astype(np.int64).reshape(-1)
-    bits = range(counts.size.bit_length() - 1)
-    _subset_transform(counts, np.add, bits)
+    zeta, mobius = _subset_matrices(len(base))
+    counts = zeta @ base @ zeta.T
     counts *= counts
-    _subset_transform(counts, np.subtract, bits)
-    return not (counts.reshape(base.shape).astype(bool) & ~base).any()
+    return not ((mobius @ counts @ mobius.T).astype(bool) & ~base).any()
 
 
 def _combination_scan(ctx, base):

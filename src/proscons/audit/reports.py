@@ -22,7 +22,7 @@ from ..core import DecisionUniverse, ProblemError
 from ..rules import Rule
 from .axioms import CHECKS, COROLLARIES, ENCODINGS, Axiom, AuditVerdict, Witness, refinement_name
 from .matrices import AuditContext, admit, context_for
-from .space import UniverseTooLargeError, iter_universes
+from .space import LEVEL_BOUND, UniverseTooLargeError, iter_universes
 
 
 class NoWitnessFoundError(ProblemError):
@@ -318,7 +318,7 @@ class SweepFinding:
 
 
 def sweep_range(plan: Plan, max_args: int, levels: int) -> Iterator[DecisionUniverse]:
-    """The range's universes, after refusing one that is empty or over ``plan``'s bound.
+    """The range's universes, after refusing one that is empty or over a bound.
 
     A refused range must not pass for a sweep that found nothing.
     """
@@ -328,6 +328,8 @@ def sweep_range(plan: Plan, max_args: int, levels: int) -> Iterator[DecisionUniv
         )
     if max_args < 1:
         raise EmptySweepError(f"a sweep up to {max_args} arguments holds no universe")
+    if levels > LEVEL_BOUND:
+        raise UniverseTooLargeError(f"sweep reaches {levels} levels, level bound is {LEVEL_BOUND}")
     bound = _tightest(plan)
     if max_args > bound:
         raise UniverseTooLargeError(

@@ -5,7 +5,8 @@ iff bit ``i`` of ``m`` is set, with arguments in declaration order.  That
 makes the subset index double as the array index, so per-profile
 statistics and whole relation matrices stay vectorised.  A space keeps its
 masks in one table: the statistics come from its bit table, and submasks
-are selected from it, not walked.
+are selected from it, not walked.  It keeps level indices in int16, so no
+scale may have more than ``LEVEL_BOUND`` = 2^15 levels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ..core import (
 
 PAIRWISE_BOUND = 12   # profile enumeration guard for checks over pairs
 TUPLE_BOUND = 6       # guard for checks quantifying over three or four subsets
+LEVEL_BOUND = 1 << 15  # scale length guard: level indices are int16
 
 
 class UniverseTooLargeError(ProblemError):
@@ -38,6 +40,9 @@ def guard_size(universe: DecisionUniverse, bound: int) -> None:
         raise UniverseTooLargeError(
             f"universe has {n} arguments, enumeration bound is {bound}"
         )
+    if len(universe.scale) > LEVEL_BOUND:
+        raise UniverseTooLargeError(f"scale has {len(universe.scale)} levels, "
+                                    f"level bound is {LEVEL_BOUND}")
 
 
 class ProfileSpace:

@@ -20,6 +20,7 @@ from proscons import (
 from proscons.audit import (
     CHECKS,
     PROPOSITIONS,
+    TUPLE_BOUND,
     Axiom,
     AuditContext,
     AuditVerdict,
@@ -44,8 +45,11 @@ from proscons.audit import (
     weak_matrix,
 )
 from proscons.audit.axioms import (
+    _XMONOTONY_BREAKS,
     _combination_scan,
     _monotony_scan,
+    _shift_scan,
+    _subset_matrices,
     _union_closed,
 )
 from proscons.audit.matrices import RelationSet, capacity_values
@@ -470,6 +474,59 @@ class TestReplayGuards:
             assert not CHECKS[check].replay(rule, u, witness)
 
 
+# The checks whose sweeps run float64 products (``_union_closed``, the monotony
+# spread, ``_reach``), exact only within TUPLE_BOUND, and ``xmonotony``, which
+# ``simplegrounding`` runs beside ``_reach``.
+FLOAT_KERNEL_CHECKS = (
+    "gclo", "gneg", "posmonotony", "negmonotony", "xmonotony", "simplegrounding",
+    "quasitransitivity", "transitivity", "sym_transitive",
+)
+
+
+def _subset_transform(values, op, bits):
+    """Zeta (``np.add``) or Möbius (``np.subtract``) transform, in place, over
+    ``bits`` of the index of a C-contiguous vector: one pass per bit."""
+    for bit in bits:
+        view = values.reshape(-1, 2, 1 << bit)
+        op(view[:, 1], view[:, 0], out=view[:, 1])
+
+
+def _self_convolution(base):
+    """The OR-convolution of ``base`` with itself, over pairs read as ``a << n | b``, in int64."""
+    counts = base.astype(np.int64).reshape(-1)
+    bits = range(counts.size.bit_length() - 1)
+    _subset_transform(counts, np.add, bits)
+    counts *= counts
+    _subset_transform(counts, np.subtract, bits)
+    return counts.reshape(base.shape)
+
+
+def _near_closed(rng, size, count=8):
+    """Union-closed bases over ``size`` profiles, each also with one cell flipped:
+    the union of all its generators dropped, or one random cell toggled."""
+    for _ in range(count):
+        flat = np.zeros(size * size, bool)
+        for g in rng.integers(0, size * size, 6) & rng.integers(0, size * size, 6):
+            flat[np.flatnonzero(flat) | g] = True
+            flat[g] = True
+        yield flat.reshape(size, size)
+        for cell in (np.flatnonzero(flat)[-1], rng.integers(size * size)):
+            near = flat.copy()
+            near[cell] = not near[cell]
+            yield near.reshape(size, size)
+
+
+def _xmonotony_by_shift(ctx, rule):
+    # The per-shift scan the stacked grid replaced: one ``_shift_scan`` shift per
+    # (x, x') by argument index, x ≠ x' and x' ≽ x.
+    rel, space = ctx.rel(rule), ctx.space
+    full = space.full_mask
+    shifts = ((full & ~(1 << i | 1 << j), full, ((1 << i, 0), (1 << j, 0)), (), (x, xp))
+              for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
+              if i != j and rel.code[1 << j, 1 << i] & 1)
+    return _shift_scan(ctx, rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
+
+
 class TestClosureKernels:
     # The union kernel decides gclo and gneg, and its scanner names the
     # witness; the monotony scan decides and names in one pass.  Each must
@@ -500,6 +557,39 @@ class TestClosureKernels:
                     assert check_axiom(axiom, rule, u, context=ctx).witness == found
                     failures += found is not None
         assert failures == 726
+
+    def test_union_kernel_is_exact_at_the_tuple_bound(self):
+        # The float64 subset-matrix products equal the int64 per-bit transforms
+        # on 64-square bases, the largest any float-kernel check may see.
+        size = 1 << TUPLE_BOUND
+        zeta, mobius = _subset_matrices(size)
+        closed_seen = set()
+        bases = (np.ones((size, size), bool), np.zeros((size, size), bool),
+                 *_near_closed(np.random.default_rng(6), size))
+        for base in bases:
+            exact = _self_convolution(base)
+            counts = zeta @ base @ zeta.T
+            counts *= counts
+            assert np.array_equal(mobius @ counts @ mobius.T, exact)
+            closed = not (exact.astype(bool) & ~base).any()
+            assert _union_closed(base) == closed
+            closed_seen.add(closed)
+        assert closed_seen == {True, False}
+
+    def test_float_kernel_checks_stay_within_the_exact_bound(self):
+        # Raising a bound past TUPLE_BOUND would take the float products past
+        # the size the exactness test above covers.
+        assert [name for name in FLOAT_KERNEL_CHECKS if CHECKS[name].bound > TUPLE_BOUND] == []
+
+    def test_xmonotony_grid_names_the_per_shift_witness(self):
+        failures = 0
+        for u in (*iter_universes(4, 3), *iter_universes(3, 4)):
+            ctx = AuditContext(u)
+            for rule in Rule:
+                found = _xmonotony_by_shift(ctx, rule)
+                assert CHECKS["xmonotony"].sweep(ctx, rule) == found, (rule, u)
+                failures += found is not None
+        assert failures == 80
 
     @pytest.mark.parametrize("case", TUPLE_GOLDEN, ids=lambda case: case["universe"])
     def test_witnesses_are_pinned(self, case):

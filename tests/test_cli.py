@@ -29,6 +29,8 @@ from proscons import rules
 from proscons.audit import (
     BUNDLES, CHECKS, Axiom, Witness, check_axiom, sweep_bundle, theorem1_bundle,
 )
+from proscons.audit import reports
+from proscons.audit.space import LEVEL_BOUND
 from proscons.cli import _verdict_json as verdict_json
 from proscons.cli import build_parser, main
 
@@ -308,9 +310,17 @@ class TestAudit:
             ("|X|=0,|L|=3", "--bundle", "theorem1", "--rule", "biposs"),
             ("|X|=-2,|L|=3", "--axiom", "ca", "--expect", "holds"),
             ("|X|=0,|L|=3", "--bundle", "propositions"),
+            (f"|X|=2,|L|={LEVEL_BOUND + 1}", "--axiom", "ca", "--rule", "lexi"),
+            (f"|X|=2,|L|={LEVEL_BOUND + 1}", "--bundle", "theorem1"),
+            (f"|X|=2,|L|={LEVEL_BOUND + 1}", "--bundle", "propositions"),
         ],
     )
-    def test_sweep_refuses_empty_or_over_bound_range(self, capsys, argv):
+    def test_sweep_refuses_empty_or_over_bound_range(self, capsys, monkeypatch, argv):
+        # Refused before the sweep builds anything, the scale's labels included.
+        def unreachable(*_):
+            raise AssertionError("universes built for a refused range")
+
+        monkeypatch.setattr(reports, "iter_universes", unreachable)
         code, out, err = run(capsys, "audit", "--generate", *argv)
         assert code == 1
         assert out == ""
@@ -465,6 +475,14 @@ class TestInputErrors:
     def test_bad_generate_bounds(self, capsys, bounds, fragment):
         code, out, err = run(capsys, "audit", "--generate", bounds, "--axiom", "ca")
         assert_one_line_error(code, out, err, fragment)
+
+    def test_scale_past_the_level_bound(self, capsys, tmp_path):
+        # A profile space keeps level indices in int16: a longer scale is refused, not overflowed.
+        scale = [f"l{i}" for i in range(LEVEL_BOUND + 1)]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_document(scale=scale, arguments=[_declaration(level=scale[-1])])))
+        code, out, err = run(capsys, "audit", str(path), "--axiom", "ca", "--rule", "lexi")
+        assert_one_line_error(code, out, err, f"scale has {LEVEL_BOUND + 1} levels")
 
     def test_rank_without_options(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
