@@ -54,10 +54,14 @@ from proscons.audit.axioms import (
 )
 from proscons.audit.matrices import RelationSet, capacity_values
 from conftest import make_universe
+from registry_golden import GOLDEN_PATH, registry_record, registry_universes
 
 TUPLE_GOLDEN = json.loads(
     (Path(__file__).parent / "tuple_witness_golden.json").read_text(encoding="utf-8")
 )
+REGISTRY_GOLDEN = {
+    record["universe"]: record for record in json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+}
 TUPLE_CHECKS = (
     "gclo", "gneg", "posmonotony", "negmonotony",
     "sqc", "xmonotony", "prefindependence", "anonymity", "add_indifferent_set",
@@ -606,6 +610,13 @@ class TestClosureKernels:
 
 
 class TestCheckRegistry:
+    @pytest.mark.parametrize(
+        "label, u", [pytest.param(label, u, id=label) for label, u in registry_universes()]
+    )
+    def test_every_verdict_matches_the_registry_golden(self, label, u):
+        # Every entry × six rules within its bound, failures replayed: see registry_golden.py.
+        assert registry_record(label, u) == REGISTRY_GOLDEN[label]
+
     def test_every_emitted_check_has_one_entry_and_replays(self):
         u = make_universe(3, [("x", "pro", 2), ("y", "con", 2), ("u", "pro", 1)])
         ctx = AuditContext(u)
