@@ -2,8 +2,9 @@
 
 ``weak[i, j]`` says profile ``i`` is weakly preferred to profile ``j``.
 Each rule reads ``weak`` as a conjunction of terms ``left >= right`` over
-per-profile keys: ``pareto``, ``bilexi`` and ``lexi`` are dominance over
-keys, ``biposs`` and ``discri`` compare two orders of magnitude, and
+per-profile keys, all read off the space's ranks of the occupied levels, so
+none grows with the scale: ``pareto``, ``bilexi`` and ``lexi`` are dominance
+over keys, ``biposs`` and ``discri`` compare two orders of magnitude, and
 ``impl`` asks which polarity reaches the joint top level.  Swapping the
 sides of every term gives ``weak[j, i]``, so a rule's uint8 pair code,
 ``code[i, j] = weak[i, j] | weak[j, i] << 1`` (bit 0: i ≽ j; bit 1: j ≽ i),
@@ -92,14 +93,8 @@ def _pareto_terms(space: ProfileSpace) -> Terms:
     return _dominance(space.omp, -space.omn)
 
 
-def _orders_of_magnitude(space: ProfileSpace) -> tuple[np.ndarray, np.ndarray]:
-    """``omp`` and ``omn`` in the smallest unsigned type that holds every level."""
-    levels = np.min_scalar_type(len(space.universe.scale) - 1)
-    return space.omp.astype(levels), space.omn.astype(levels)
-
-
 def _biposs_terms(space: ProfileSpace) -> Terms:
-    omp, omn = _orders_of_magnitude(space)
+    omp, omn = space.omp, space.omn
     return lambda rows: [(
         np.maximum(omp[rows, None], omn[None, :]), np.maximum(omp[None, :], omn[rows, None])
     )]
@@ -107,7 +102,7 @@ def _biposs_terms(space: ProfileSpace) -> Terms:
 
 def _impl_terms(space: ProfileSpace) -> Terms:
     # A reaches the joint top with a pro if B does, and B with a con if A does.
-    omp, omn = _orders_of_magnitude(space)
+    omp, omn = space.omp, space.omn
     peak = np.maximum(omp, omn)
 
     def terms(rows):
@@ -130,7 +125,7 @@ def _discri_terms(space: ProfileSpace) -> Terms:
     # biposs of (A ∖ B, B ∖ A): the top pro of A ∖ B is the larger of its tops
     # over the low and the high argument bits, so max(omp[A ∖ B], omn[B ∖ A])
     # is the larger of one half table's cells; B ∖ A reads the transposes.
-    omp, omn = _orders_of_magnitude(space)
+    omp, omn = space.omp, space.omn
     low = space.n // 2
     upper, lower = _half_table(omp, omn, space.n - low, low), _half_table(omp, omn, low, 0)
 
@@ -237,12 +232,12 @@ def impl_cases_weak(space: ProfileSpace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def capacity_values(space: ProfileSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-profile positive and negative capacities under the universe's weight table.
+    """Per-profile positive and negative capacities: counts by rank times their levels' weights.
 
     Both are exact Python integers (``dtype=object``): weights pass int64 on
     small universes, e.g. ``13**18`` over 6 arguments on 19 levels.
     """
-    weights = np.array(space.universe.weights, dtype=object)
+    weights = np.array([space.universe.weights[level] for level in space.occupied], dtype=object)
     return space.pos_counts.astype(object) @ weights, space.neg_counts.astype(object) @ weights
 
 

@@ -5,8 +5,11 @@ iff bit ``i`` of ``m`` is set, with arguments in declaration order.  That
 makes the subset index double as the array index, so per-profile
 statistics and whole relation matrices stay vectorised.  A space keeps its
 masks in one table: the statistics come from its bit table, and submasks
-are selected from it, not walked.  It keeps level indices in int16, so no
-scale may have more than ``LEVEL_BOUND`` = 2^15 levels.
+are selected from it, not walked.  Levels count only by their order, so a
+space ranks the levels some argument occupies (``occupied``, null included):
+its count columns and ``omp``/``omn`` use ranks, never the scale's length.
+``LEVEL_BOUND`` = 2^15 bounds that length for what does grow with it: each
+``--generate`` scale, built eagerly, and a capacity weight table of L² bits.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ..core import (
 
 PAIRWISE_BOUND = 12   # profile enumeration guard for checks over pairs
 TUPLE_BOUND = 6       # guard for checks quantifying over three or four subsets
-LEVEL_BOUND = 1 << 15  # scale length guard: level indices are int16
+LEVEL_BOUND = 1 << 15  # scale length guard: at 2^15 levels a weight table takes 109-318 MB
 
 
 class UniverseTooLargeError(ProblemError):
@@ -54,9 +57,9 @@ class ProfileSpace:
         self.names = tuple(a.name for a in args)
         self.n = len(args)
         self.size = 1 << self.n
-        num_levels = len(universe.scale)
-
-        level = np.array([a.level for a in args], dtype=np.int16)
+        levels = [a.level for a in args]
+        self.occupied = tuple(sorted({0, *levels}))
+        rank = np.array([self.occupied.index(level) for level in levels], dtype=np.int8)
         is_pro = np.array(
             [a.polarity is Polarity.PRO and not a.is_null for a in args], dtype=bool
         )
@@ -72,11 +75,11 @@ class ProfileSpace:
 
         # Per-subset stats from the bit table: held[m, i] is bit i of mask m.
         held = (self.masks[:, None] >> np.arange(self.n) & 1).astype(bool)
-        at_level = (level[:, None] == np.arange(num_levels)).astype(np.int16)
-        self.pos_counts = (held & is_pro).astype(np.int16) @ at_level
-        self.neg_counts = (held & is_con).astype(np.int16) @ at_level
-        self.omp = np.where(held & is_pro, level, 0).max(axis=1, initial=0)
-        self.omn = np.where(held & is_con, level, 0).max(axis=1, initial=0)
+        at_rank = (rank[:, None] == np.arange(len(self.occupied))).astype(np.int16)
+        self.pos_counts = (held & is_pro).astype(np.int16) @ at_rank
+        self.neg_counts = (held & is_con).astype(np.int16) @ at_rank
+        self.omp = np.where(held & is_pro, rank, 0).max(axis=1, initial=0)
+        self.omn = np.where(held & is_con, rank, 0).max(axis=1, initial=0)
 
     # -- conversions -----------------------------------------------------
 

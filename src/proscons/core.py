@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -317,8 +319,8 @@ def default_base(universe: DecisionUniverse) -> int:
 
 
 def level_weights(base: int, size: int) -> tuple[int, ...]:
-    """Big-stepped weights of a scale of ``size`` levels: the null level weighs nothing."""
-    return (0, *(base**level for level in range(1, size)))
+    """Big-stepped weights of ``size`` levels, each ``base`` times the one below; null weighs 0."""
+    return (0, *accumulate(repeat(base, size - 1), mul))
 
 # ---------------------------------------------------------------------------
 # Validation

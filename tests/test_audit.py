@@ -3,6 +3,7 @@
 import ast
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import proscons.audit
 from proscons import (
     DecisionUniverse,
+    ImportanceScale,
     Outcome,
     Rule,
     TrivialUniverseError,
@@ -53,6 +55,7 @@ from proscons.audit.axioms import (
     _union_closed,
 )
 from proscons.audit.matrices import RelationSet, capacity_values
+from proscons.audit.space import LEVEL_BOUND
 from conftest import make_universe
 from registry_golden import GOLDEN_PATH, registry_record, registry_universes
 
@@ -160,6 +163,42 @@ class TestRelationSet:
             finally:
                 tracemalloc.stop()
             assert peak <= limit, (rule, peak / limit)
+
+
+SPREAD_LEVELS = (0, 1500, 4095)  # where the levels of a 3-level universe move on 4,096
+
+
+def spread_out(u: DecisionUniverse) -> DecisionUniverse:
+    """``u`` with its levels moved apart, in the same order, on a 4,096-level scale."""
+    scale = ImportanceScale(tuple(f"l{i}" for i in range(4096)))
+    return DecisionUniverse(
+        scale, tuple(replace(a, level=SPREAD_LEVELS[a.level]) for a in u.arguments)
+    )
+
+
+class TestScaleLength:
+    """Only the order of the occupied levels reaches the profile space and its matrices."""
+
+    @pytest.mark.parametrize("u", [
+        pytest.param(u, id=" ".join(a.name for a in u.arguments)) for u in iter_universes(3, 3)
+    ])
+    def test_every_verdict_is_the_same_on_a_spread_scale(self, u):
+        label = " ".join(a.name for a in u.arguments)
+        assert registry_record(label, spread_out(u)) == REGISTRY_GOLDEN[label]
+
+    def test_relation_build_memory_does_not_follow_the_scale(self):
+        # Ten arguments on the longest admitted scale: the bound admits the
+        # N²-byte code (N = 1,024) and a few row blocks, but no array with a
+        # column per scale level (2^15 × N int16 counts are 64 MiB).
+        u = make_universe(LEVEL_BOUND, [(f"x{i}", "pro" if i % 3 else "con", 1 + i * 3271)
+                                        for i in range(10)])
+        tracemalloc.start()
+        try:
+            AuditContext(u).rel(Rule.BILEXI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (1 << 10) ** 2
 
 
 class TestCheckAxiom:

@@ -477,7 +477,7 @@ class TestInputErrors:
         assert_one_line_error(code, out, err, fragment)
 
     def test_scale_past_the_level_bound(self, capsys, tmp_path):
-        # A profile space keeps level indices in int16: a longer scale is refused, not overflowed.
+        # A longer scale is refused before its L²-bit capacity weight table is built.
         scale = [f"l{i}" for i in range(LEVEL_BOUND + 1)]
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(_document(scale=scale, arguments=[_declaration(level=scale[-1])])))

@@ -20,6 +20,7 @@ from proscons.encodings import (
     BigSteppedCapacity,
     default_base,
     iter_completed_pairs,
+    level_weights,
     opposite_name,
 )
 from proscons.audit import enumerate_profiles, iter_universes
@@ -116,6 +117,10 @@ class TestWeightTable:
         assert BigSteppedCapacity.for_universe(u).weights is u.weights
         assert u.weights == (0, 15, 15**2)
         assert BigSteppedCapacity(u, 3).weights == (0, 3, 9)
+
+    @pytest.mark.parametrize("base, size", [(3, 2), (3, 5), (15, 3), (25, 40), (7, 1200)])
+    def test_table_holds_each_power_of_the_base(self, base, size):
+        assert level_weights(base, size) == (0, *(base**k for k in range(1, size)))
 
     def test_weights_are_read_by_name_only(self, luc):
         # No per-level ``weight()``: a level outside the scale would index the

@@ -1,8 +1,9 @@
 """Property tests on random universes past the exhaustive bounds.
 
 The audit harness enumerates every profile only up to 12 arguments; these
-tests draw universes of up to 60 arguments on up to 30 levels and check,
-through the scalar functions, the claims the sweeps certify on small ones.
+tests draw universes of up to 60 arguments on up to 30 levels, and profile
+spaces also on scales of 200 to 400 levels, and check, through the scalar
+functions, the claims the sweeps certify on small ones.
 The closure kernels, the shift-scan, ground, union and pairwise checks are
 held to their definitions on random relations, which break the axioms far
 more often than the rules do, and every check's replay to its sweep's
@@ -184,8 +185,9 @@ def test_unknown_names_are_refused(pair, name):
 
 @st.composite
 def spaces(draw, max_args=PAIRWISE_BOUND):
-    """A universe of up to ``max_args`` arguments and a few of its profile masks."""
-    num_levels = draw(st.integers(2, MAX_LEVELS))
+    """A universe of up to ``max_args`` arguments and a few of its profile masks;
+    on a scale of a few hundred levels the occupied ones lie far apart."""
+    num_levels = draw(st.integers(2, MAX_LEVELS) | st.integers(200, 400))
     num_args = draw(st.integers(0, max_args))
     specs = draw(
         st.lists(
@@ -208,11 +210,16 @@ def test_profile_space_rows_are_the_scalar_profiles(case):
     universe, masks = case
     space = ProfileSpace(universe)
     names = [a.name for a in universe.arguments]
+    assert space.occupied == tuple(sorted({0, *(a.level for a in universe.arguments)}))
     for m in masks:
         p = universe.option(name for i, name in enumerate(names) if m >> i & 1)
-        assert tuple(space.pos_counts[m]) == p.pos_level_counts
-        assert tuple(space.neg_counts[m]) == p.neg_level_counts
-        assert (space.omp[m], space.omn[m]) == (p.om_pos, p.om_neg)
+        # Counts by rank are the scalar counts at the occupied levels, and 0 elsewhere.
+        for counts, scalar in ((space.pos_counts[m], p.pos_level_counts),
+                               (space.neg_counts[m], p.neg_level_counts)):
+            assert tuple(counts) == tuple(scalar[level] for level in space.occupied)
+            assert not any(c for level, c in enumerate(scalar) if level not in space.occupied)
+        assert space.occupied[space.omp[m]] == p.om_pos
+        assert space.occupied[space.omn[m]] == p.om_neg
         assert space.submasks(m).tolist() == [s for s in range(1 << len(names)) if not s & ~m]
 
 
