@@ -9,7 +9,8 @@ are selected from it, not walked.  Levels count only by their order, so a
 space ranks the levels some argument occupies (``occupied``, null included):
 its count columns and ``omp``/``omn`` use ranks, never the scale's length.
 ``LEVEL_BOUND`` = 2^15 bounds that length for what does grow with it: each
-``--generate`` scale, built eagerly, and a capacity weight table of L² bits.
+``--generate`` scale, built eagerly, and the capacity weight table, which
+runs up to the top occupied level: L² bits for an argument L levels up.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..core import (
 
 PAIRWISE_BOUND = 12   # profile enumeration guard for checks over pairs
 TUPLE_BOUND = 6       # guard for checks quantifying over three or four subsets
-LEVEL_BOUND = 1 << 15  # scale length guard: at 2^15 levels a weight table takes 109-318 MB
+LEVEL_BOUND = 1 << 15  # scale length guard: a weight table up to level 2^15 takes 109-318 MB
 
 
 class UniverseTooLargeError(ProblemError):

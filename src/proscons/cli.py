@@ -432,12 +432,16 @@ def cmd_capacities(args) -> int:
     problem = _load(args.path)
     _warn_if_trivial(problem, args.quiet)
     cap = BigSteppedCapacity.for_universe(problem.universe, args.base)
-    rows = [(name, cap.of(p.pos), cap.of(p.neg)) for name, p in problem.options.items()]
     limit = sys.get_int_max_str_digits()  # |np| is at most the larger capacity
-    for name, sp, sn in rows:
-        if limit and max(sp, sn) >= 10**limit:
+    rows = []
+    for name, p in problem.options.items():
+        # Some capacity is at least base**top >= 2**(k*top), k = bit_length - 1, and 2**10 > 10**3.
+        past = limit and 3 * (cap.base.bit_length() - 1) * max(p.om_pos, p.om_neg) >= 10 * limit
+        sp, sn = (0, 0) if past else (cap.of(p.pos), cap.of(p.neg))
+        if past or (limit and max(sp, sn) >= 10**limit):
             raise ProblemFormatError(f"option {name!r}: a capacity has more than {limit} "
                                      "digits, past Python's int-to-str limit")
+        rows.append((name, sp, sn))
     payload = {
         "base": cap.base,
         "options": {

@@ -255,8 +255,8 @@ class DecisionUniverse:
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
-        """Capacity weight of each level under :func:`default_base`: 0, B, B², …"""
-        return level_weights(default_base(self), len(self.scale))
+        """Default-base weights 0, B, B², … of the levels up to the top occupied one."""
+        return level_weights(default_base(self), 1 + max(self.levels.values(), default=0))
 
     @cached_property
     def pros(self) -> frozenset[str]:
@@ -285,10 +285,6 @@ class DecisionUniverse:
 
     def level_of(self, name: str) -> int:
         return self.levels[name]
-
-    def capacity(self, names: Iterable[str], weights: tuple[int, ...]) -> int:
-        """Sum of the level weights of a set of arguments, over its member names."""
-        return sum(map(weights.__getitem__, map(self.levels.__getitem__, names)))
 
     def option(self, members: Iterable[str]) -> "OptionProfile":
         return OptionProfile(self, frozenset(members))
@@ -403,8 +399,8 @@ class OptionProfile:
     @cached_property
     def capacities(self) -> tuple[int, int]:
         """(σ+, σ−): the capacities of the pros and of the cons under the default base."""
-        u = self.universe
-        return u.capacity(self.pos, u.weights), u.capacity(self.neg, u.weights)
+        weigh, levels = self.universe.weights.__getitem__, self.universe.levels.__getitem__
+        return sum(map(weigh, map(levels, self.pos))), sum(map(weigh, map(levels, self.neg)))
 
     # -- per-level sections ----------------------------------------------
 

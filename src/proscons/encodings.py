@@ -34,7 +34,6 @@ from .core import (
     ProblemError,
     SUPERSCRIPT_CON,
     default_base,
-    level_weights,
     require_same_universe,
 )
 
@@ -63,11 +62,11 @@ class CueCompletionError(ProblemError, ValueError):
 class BigSteppedCapacity:
     """Integer capacity with geometrically exploding per-level weights.
 
-    Level ``i`` of the scale weighs ``base**i`` (the null level weighs
+    An argument at level ``i`` weighs ``base**i`` (a null one weighs
     nothing), so the value of a set is a base-``base`` numeral whose
     digits are the per-level cardinalities.  Zero on the empty set and
-    monotone under inclusion, as a capacity must be.  Values are plain
-    Python integers: no overflow, whatever the scale.
+    monotone under inclusion, as a capacity must be.  Values are exact
+    Python integers, one power per member, whatever the scale's length.
     """
 
     universe: DecisionUniverse
@@ -81,13 +80,9 @@ class BigSteppedCapacity:
     def for_universe(cls, universe: DecisionUniverse, base: int | None = None):
         return cls(universe, default_base(universe) if base is None else base)
 
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        u = self.universe
-        return u.weights if self.base == default_base(u) else level_weights(self.base, len(u.scale))
-
     def of(self, names: Iterable[str]) -> int:
-        return self.universe.capacity(names, self.weights)
+        levels = map(self.universe.levels.__getitem__, names)
+        return sum(self.base**level for level in levels if level)
 
 
 def sigma(names: Iterable[str], universe: DecisionUniverse, base: int | None = None) -> int:
@@ -130,7 +125,8 @@ def leading_level(diff: int, weights: tuple[int, ...]) -> int:
     per-level count difference, as :attr:`DecisionUniverse.weights` is.  If
     ``D = Σ d_k·B^k`` has its top nonzero ``d_k`` at level ``k``, then
     ``B^k < 2|D| < B^(k+1)`` and ``D`` has the sign of ``d_k``: ``k`` is the
-    number of weights ``B, B², …`` below ``2|D|``.  Zero reads as level 0.
+    number of weights ``B, B², …`` below ``2|D|`` (the table may end at
+    ``B^k``), and zero reads as level 0.
 
     Both capacity routes read the two-ledger rule so: a ledger (pro, con)
     speaks when its leading level is at least the other's, and the first

@@ -1,6 +1,7 @@
 """Audit harness: enumeration, axiom checks, witnesses, bundles, searches."""
 
 import ast
+import itertools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -55,6 +56,7 @@ from proscons.audit.axioms import (
     _union_closed,
 )
 from proscons.audit.matrices import RelationSet, capacity_values
+from proscons.audit.reports import THEOREM2_PREMISES
 from proscons.audit.space import LEVEL_BOUND
 from conftest import make_universe
 from registry_golden import GOLDEN_PATH, registry_record, registry_universes
@@ -383,6 +385,31 @@ class TestBundles:
                 assert replay_witness(verdict, u)
                 return
         pytest.fail(f"{rule} unexpectedly satisfies the whole bundle")
+
+    def test_theorem2_premises_admit_an_additive_relation_that_is_no_lexi(self):
+        # The premises do not single out lexi: on {p1a, p1b, n1a}, all at
+        # level 1, ranking profiles by the additive weights (1, 1, -1.5)
+        # passes every premise, yet a pro and a con of equal importance do
+        # not cancel, and no level assignment makes lexi rank so.
+        u = next(u for u in iter_universes(3, 3)
+                 if [a.name for a in u.arguments] == ["p1a", "p1b", "n1a"])
+        assert {a.level for a in u.arguments} == {1}
+        ctx = AuditContext(u)
+        score = (ctx.space.masks[:, None] >> np.arange(3) & 1) @ np.array([1, 1, -1.5])
+        weak = score[:, None] >= score[None, :]
+        ctx._relations[Rule.LEXI] = RelationSet(weak)
+        for name in THEOREM2_PREMISES:
+            assert CHECKS[name].verdict(Rule.LEXI, u, context=ctx).holds, name
+        scale = ImportanceScale(("l0", "l1", "l2", "l3"))
+        for levels in itertools.product(range(4), repeat=3):
+            if any(levels):
+                args = tuple(replace(a, level=k) for a, k in zip(u.arguments, levels))
+                assert not np.array_equal(
+                    weak, weak_matrix(ProfileSpace(DecisionUniverse(scale, args)), Rule.LEXI)
+                ), levels
+        strict = weak & ~weak.T
+        empty, p1a_n1a, everything = 0, 0b101, 0b111
+        assert strict[empty, p1a_n1a] and strict[everything, empty]
 
     @pytest.mark.parametrize("rule", [r for r in Rule if r is not Rule.LEXI])
     def test_other_rules_fail_theorem2_with_replayable_witness(self, rule):

@@ -33,6 +33,7 @@ from proscons.audit import reports
 from proscons.audit.space import LEVEL_BOUND
 from proscons.cli import _verdict_json as verdict_json
 from proscons.cli import build_parser, main
+from proscons.encodings import BigSteppedCapacity
 
 GOLDEN = json.loads((Path(__file__).parent / "audit_golden.json").read_text(encoding="utf-8"))
 
@@ -633,6 +634,36 @@ class TestCapacities:
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, "capacities", str(tall), *flags)
             assert_one_line_error(code, out, err, f"option 'a': a capacity has more than {limit}")
+
+    @staticmethod
+    def one_pro(tmp_path, num_levels, level):
+        scale = [f"l{i}" for i in range(num_levels)]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({
+            "scale": scale,
+            "arguments": [{"name": "x", "polarity": "pro", "level": scale[level]}],
+            "options": {"a": ["x"], "b": []},
+        }))
+        return str(path)
+
+    def test_a_low_argument_on_a_long_scale_prints_the_base(self, capsys, tmp_path):
+        base = 10**1000
+        code, payload, _ = run_json(capsys, "capacities", self.one_pro(tmp_path, 600, 1),
+                                    "--base", str(base))
+        assert code == 0
+        assert payload["options"]["a"] == {"sigma_pos": base, "sigma_neg": 0, "np": base}
+
+    def test_a_top_level_past_the_limit_is_refused_before_any_power(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # One pro on level 2,999 with a 4,000-digit base: its capacity has
+        # about 12 million digits, which the top level alone tells.
+        path = self.one_pro(tmp_path, 3000, 2999)
+        monkeypatch.setattr(BigSteppedCapacity, "of",
+                            lambda cap, names: pytest.fail("a capacity was computed"))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "capacities", path, "--base", "9" * 4000)
+        assert_one_line_error(code, out, err, f"option 'a': a capacity has more than {limit}")
 
     def test_problem_without_arguments_gets_base_three(self, capsys, tmp_path):
         path = tmp_path / "bare.json"

@@ -1,5 +1,7 @@
 """Capacity encodings, net predisposition, and the cue-scanning bridge."""
 
+import tracemalloc
+
 import pytest
 
 from proscons import (
@@ -16,11 +18,11 @@ from proscons import (
     sigma,
     ttb_compare,
 )
+from proscons.core import level_weights
 from proscons.encodings import (
     BigSteppedCapacity,
     default_base,
     iter_completed_pairs,
-    level_weights,
     opposite_name,
 )
 from proscons.audit import enumerate_profiles, iter_universes
@@ -114,13 +116,36 @@ class TestEncodingEquivalences:
 class TestWeightTable:
     def test_default_base_reads_the_universe_table(self, luc):
         u = luc.universe
-        assert BigSteppedCapacity.for_universe(u).weights is u.weights
         assert u.weights == (0, 15, 15**2)
-        assert BigSteppedCapacity(u, 3).weights == (0, 3, 9)
+        for base in (15, 3):
+            cap = BigSteppedCapacity(u, base)
+            for option in luc.options.values():
+                for side in (option.pos, option.neg):
+                    assert cap.of(side) == sum(base ** u.level_of(n) for n in side)
 
     @pytest.mark.parametrize("base, size", [(3, 2), (3, 5), (15, 3), (25, 40), (7, 1200)])
     def test_table_holds_each_power_of_the_base(self, base, size):
         assert level_weights(base, size) == (0, *(base**k for k in range(1, size)))
+
+    def test_table_stops_at_the_top_occupied_level(self):
+        u = make_universe(600, [("x", "pro", 1), ("z", "con", 0)])
+        assert len(u.weights) == 2
+        assert len(make_universe(600, [("x", "pro", 1), ("y", "con", 7)]).weights) == 8
+        assert make_universe(600, [("z", "pro", 0)]).weights == (0,)
+
+    def test_capacity_takes_only_its_members_powers(self):
+        # One argument at level 1 of 600: a table of 600 powers of 10**1000
+        # would hold about 75 MB; the capacity is the base itself.
+        u = make_universe(600, [("x", "pro", 1)])
+        base = 10**1000
+        tracemalloc.start()
+        try:
+            value = BigSteppedCapacity(u, base).of(["x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == base
+        assert peak < 1 << 20
 
     def test_weights_are_read_by_name_only(self, luc):
         # No per-level ``weight()``: a level outside the scale would index the

@@ -36,6 +36,7 @@ from proscons import (
     sigma,
     ttb_compare,
 )
+from proscons.core import level_weights
 from proscons.encodings import default_base, leading_level
 from proscons.audit import (
     CHECKS,
@@ -153,7 +154,7 @@ def level_differences(draw):
 @given(level_differences())
 def test_leading_level_is_the_top_differing_level(drawn):
     universe, diffs = drawn
-    weights = universe.weights
+    weights = level_weights(default_base(universe), len(universe.scale))
     value = sum(d * w for d, w in zip(diffs, weights))
     top = max((k for k, d in enumerate(diffs) if d), default=0)
     assert leading_level(value, weights) == top
