@@ -6,8 +6,8 @@ makes the subset index double as the array index, so per-profile
 statistics and whole relation matrices stay vectorised.  A space keeps its
 masks in one table: the statistics come from its bit table, and submasks
 are selected from it, not walked.  Levels count only by their order, so a
-space ranks the levels some argument occupies (``occupied``, null included):
-its count columns and ``omp``/``omn`` use ranks, never the scale's length.
+space ranks ``DecisionUniverse.occupied`` (the levels some argument occupies,
+null included): its count columns and ``omp``/``omn`` use ranks, not levels.
 ``LEVEL_BOUND`` = 2^15 bounds that length for what does grow with it: each
 ``--generate`` scale, built eagerly, and the capacity weight table, which
 runs up to the top occupied level: L² bits for an argument L levels up.
@@ -58,9 +58,8 @@ class ProfileSpace:
         self.names = tuple(a.name for a in args)
         self.n = len(args)
         self.size = 1 << self.n
-        levels = [a.level for a in args]
-        self.occupied = tuple(sorted({0, *levels}))
-        rank = np.array([self.occupied.index(level) for level in levels], dtype=np.int8)
+        self.occupied = universe.occupied
+        rank = np.array([self.occupied.index(a.level) for a in args], dtype=np.int8)
         is_pro = np.array(
             [a.polarity is Polarity.PRO and not a.is_null for a in args], dtype=bool
         )

@@ -254,9 +254,25 @@ class DecisionUniverse:
         return _Levels((a.name, a.level) for a in self.arguments)
 
     @cached_property
+    def occupied(self) -> tuple[int, ...]:
+        """The levels some argument occupies, ascending, with the null level 0 always first."""
+        return tuple(sorted({0, *(a.level for a in self.arguments)}))
+
+    @cached_property
+    def bits(self) -> Mapping[str, int]:
+        """One bit per argument, in ascending level order: a mask's top bit holds its top level."""
+        ranked = sorted(self.arguments, key=lambda a: a.level)
+        return {a.name: 1 << k for k, a in enumerate(ranked)}
+
+    @cached_property
+    def bit_levels(self) -> tuple[int, ...]:
+        """Entry k is bit k - 1's level, entry 0 is 0: ``bit_levels[m.bit_length()]`` is m's top."""
+        return (0, *sorted(a.level for a in self.arguments))
+
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         """Default-base weights 0, B, B², … of the levels up to the top occupied one."""
-        return level_weights(default_base(self), 1 + max(self.levels.values(), default=0))
+        return level_weights(default_base(self), 1 + self.occupied[-1])
 
     @cached_property
     def pros(self) -> frozenset[str]:
@@ -397,6 +413,12 @@ class OptionProfile:
         return om(self.universe, self.neg)
 
     @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(pro mask, con mask): the ``universe.bits`` of the pros and of the cons."""
+        bit = self.universe.bits.__getitem__
+        return sum(map(bit, self.pos)), sum(map(bit, self.neg))
+
+    @cached_property
     def capacities(self) -> tuple[int, int]:
         """(σ+, σ−): the capacities of the pros and of the cons under the default base."""
         weigh, levels = self.universe.weights.__getitem__, self.universe.levels.__getitem__
@@ -406,14 +428,14 @@ class OptionProfile:
 
     @cached_property
     def pos_level_counts(self) -> tuple[int, ...]:
-        counts = [0] * len(self.universe.scale)
+        counts = [0] * (1 + self.universe.occupied[-1])
         for name in self.pos:
             counts[self.universe.level_of(name)] += 1
         return tuple(counts)
 
     @cached_property
     def neg_level_counts(self) -> tuple[int, ...]:
-        counts = [0] * len(self.universe.scale)
+        counts = [0] * (1 + self.universe.occupied[-1])
         for name in self.neg:
             counts[self.universe.level_of(name)] += 1
         return tuple(counts)

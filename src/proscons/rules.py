@@ -11,7 +11,8 @@ rules split into two families:
   material first (common arguments, then equally important arguments of
   the same polarity across options, then equally important opposites
   inside an option) and decide at the highest level where a difference
-  survives.
+  survives.  ``discri`` cancels by bit masks and the levelwise rules scan
+  only the occupied levels, so their cost follows the arguments, not the scale.
 
 ``biposs``, ``discri`` and ``lexi`` are complete; ``impl`` is complete
 except when one option is internally conflicted at the top level;
@@ -27,7 +28,6 @@ from .core import (
     DecisionUniverse,
     OptionProfile,
     Outcome,
-    om,
     require_same_universe,
 )
 
@@ -177,28 +177,31 @@ def compare_discri(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Possibilistic comparison after cancelling shared arguments.
 
     Arguments present in both options cannot make a difference, so they
-    are removed: ``biposs`` then reads the tops of the one-sided differences.
-    Complete and quasi-transitive.
+    are removed: ``biposs`` then reads the tops of the one-sided differences,
+    each an AND-NOT of two masks, at ``bit_levels[bit length]``.  Complete
+    and quasi-transitive.
     """
     require_same_universe(a, b)
-    ap, an = om(a.universe, a.pos - b.pos), om(a.universe, a.neg - b.neg)
-    bp, bn = om(a.universe, b.pos - a.pos), om(a.universe, b.neg - a.neg)
+    top, (apm, anm), (bpm, bnm) = a.universe.bit_levels, a.masks, b.masks
+    ap, an = top[(apm & ~bpm).bit_length()], top[(anm & ~bnm).bit_length()]
+    bp, bn = top[(bpm & ~apm).bit_length()], top[(bnm & ~anm).bit_length()]
     return Outcome.from_weak(_biposs_weak(ap, an, bp, bn), _biposs_weak(bp, bn, ap, an))
 
 
 def compare_bilexi(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Levelwise tallying of pros and cons, kept on separate ledgers.
 
-    Scan levels from the top down to the first level where the pro counts
-    or the con counts differ; there, the option with at least as many pros
-    and at most as many cons wins.  If each option wins one ledger the
-    conflict is reported as incomparability; if no level differs the
-    options are indifferent.
+    Scan the occupied levels (no other can differ) from the top down to
+    the first level where the pro counts or the con counts differ; there,
+    the option with at least as many pros and at most as many cons wins.
+    If each option wins one ledger the conflict is reported as
+    incomparability; if no level differs the options are indifferent.
+    The null level never differs: pros and cons exclude null arguments.
     """
     require_same_universe(a, b)
     apos, aneg = a.pos_level_counts, a.neg_level_counts
     bpos, bneg = b.pos_level_counts, b.neg_level_counts
-    for level in range(len(a.universe.scale) - 1, 0, -1):
+    for level in reversed(a.universe.occupied):
         if apos[level] != bpos[level] or aneg[level] != bneg[level]:
             first = apos[level] >= bpos[level] and aneg[level] <= bneg[level]
             second = bpos[level] >= apos[level] and bneg[level] <= aneg[level]
@@ -210,14 +213,14 @@ def compare_lexi(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Levelwise tallying with pros cancelling cons of equal importance.
 
     Each level contributes a single signed count (pros minus cons); the
-    first level from the top where the signed counts differ decides
-    strictly.  Complete and transitive: ties require identical signed
-    counts at every level above the null one.
+    first occupied level from the top where the signed counts differ
+    decides strictly.  Complete and transitive: ties require identical
+    signed counts at every level above the null one.
     """
     require_same_universe(a, b)
     apos, aneg = a.pos_level_counts, a.neg_level_counts
     bpos, bneg = b.pos_level_counts, b.neg_level_counts
-    for level in range(len(a.universe.scale) - 1, 0, -1):
+    for level in reversed(a.universe.occupied):
         da = apos[level] - aneg[level]
         db = bpos[level] - bneg[level]
         if da != db:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -702,6 +703,30 @@ class TestRankReport:
         assert _strict_cycles(names, outcomes) == ()
         outcomes[names[-1]][names[0]] = Outcome.PREFER_FIRST
         assert _strict_cycles(names, outcomes) == ((*names, names[0]),)
+
+    @pytest.mark.parametrize("spread", [1, 2_999])
+    def test_a_long_scale_ranks_as_its_occupied_levels(self, spread):
+        # Ten arguments on levels 1-10 and forty options, on 11 levels and
+        # again on 30,000 with level l moved to spread * l: the rules read only
+        # the order of the occupied levels.
+        from proscons.cli import rank_options
+
+        rng = random.Random(10)
+        specs = [(rng.choice(("pro", "con")), rng.randint(1, 10)) for _ in range(10)]
+        options = {f"o{k}": [f"x{i}" for i in range(10) if rng.random() < 0.5] for k in range(40)}
+
+        def problem(num_levels, place):
+            scale = [f"l{i}" for i in range(num_levels)]
+            arguments = [{"name": f"x{i}", "polarity": polarity, "level": scale[place(level)]}
+                         for i, (polarity, level) in enumerate(specs)]
+            return parse_problem({"scale": scale, "arguments": arguments, "options": options})
+
+        short, long = problem(11, lambda level: level), problem(30_000, lambda level: spread * level)
+        for rule in (Rule.LEXI, Rule.BILEXI, Rule.DISCRI):
+            expected, report = rank_options(short, rule), rank_options(long, rule)
+            assert report.outcomes == expected.outcomes
+            assert report.maximal == expected.maximal
+            assert any(Outcome.PREFER_FIRST in row.values() for row in report.outcomes.values())
 
     def test_rank_of_a_strict_chain_past_the_recursion_limit(self, capsys, tmp_path):
         # Nine pros, one per level, and 300 options best first: a strict lexi chain.

@@ -1,6 +1,7 @@
 """Domain-model behaviour: scale, arguments, universe, profiles, sections."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -166,6 +167,26 @@ class TestProfiles:
     def test_mismatched_universes(self, luc, lucy):
         with pytest.raises(UniverseMismatchError):
             luc.options["a"].union(lucy.options["a"])
+
+    def test_level_counts_stop_at_the_top_occupied_level(self):
+        # One argument at level 1 of 30,000: a count per scale level would
+        # hold about 240 KB per tuple; only the null level and level 1 count.
+        p = make_universe(30_000, [("x", "pro", 1)]).option({"x"})
+        tracemalloc.start()
+        try:
+            counts = p.pos_level_counts, p.neg_level_counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        assert counts == ((0, 1), (0, 0))
+
+    def test_bits_follow_the_levels(self):
+        u = make_universe(9, [("a", "pro", 8), ("z", "con", 0), ("b", "con", 3), ("c", "pro", 3)])
+        assert u.occupied == (0, 3, 8)
+        assert u.bits == {"z": 1, "b": 2, "c": 4, "a": 8}
+        assert u.bit_levels == (0, 0, 3, 3, 8)
+        assert u.option({"a", "b", "c", "z"}).masks == (12, 2)
 
 
 class TestOutcome:

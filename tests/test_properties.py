@@ -1,9 +1,10 @@
 """Property tests on random universes past the exhaustive bounds.
 
 The audit harness enumerates every profile only up to 12 arguments; these
-tests draw universes of up to 60 arguments on up to 30 levels, and profile
-spaces also on scales of 200 to 400 levels, and check, through the scalar
-functions, the claims the sweeps certify on small ones.
+tests draw universes of up to 60 arguments on up to 30 levels, 61 to 150
+arguments for the argument masks, and profile spaces and masks also on
+scales of 200 to 400 levels, and check, through the scalar functions, the
+claims the sweeps certify on small ones.
 The closure kernels, the shift-scan, ground, union and pairwise checks are
 held to their definitions on random relations, which break the axioms far
 more often than the rules do, and every check's replay to its sweep's
@@ -73,10 +74,10 @@ def subsets(names):
 
 
 @st.composite
-def profile_pairs(draw):
+def profile_pairs(draw, num_levels=st.integers(2, MAX_LEVELS), num_args=st.integers(1, MAX_ARGS)):
     """Two options over one random universe; arguments may sit on the null level."""
-    num_levels = draw(st.integers(2, MAX_LEVELS))
-    num_args = draw(st.integers(1, MAX_ARGS))
+    num_levels = draw(num_levels)
+    num_args = draw(num_args)
     specs = draw(
         st.lists(
             st.tuples(st.sampled_from(list(Polarity)), st.integers(0, num_levels - 1)),
@@ -167,6 +168,34 @@ def test_leading_level_is_the_top_differing_level(drawn):
 def test_discri_is_biposs_after_cancelling_shared_arguments(pair):
     a, b = pair
     assert compare(Rule.DISCRI, a, b) is compare_biposs(a.difference(b), b.difference(a))
+
+
+def _discri_by_differences(a, b):
+    """``discri`` as four frozenset differences and their ``om``: the reference for the masks."""
+    u = a.universe
+    ap, an = om(u, a.pos - b.pos), om(u, a.neg - b.neg)
+    bp, bn = om(u, b.pos - a.pos), om(u, b.neg - a.neg)
+    return Outcome.from_weak(max(ap, bn) >= max(bp, an), max(bp, an) >= max(ap, bn))
+
+
+# Masks of 61-150 bits span several machine digits, and on 200-400 levels
+# the arguments' levels lie far apart.
+wide_profile_pairs = profile_pairs(st.integers(200, 400), st.integers(61, 150))
+
+
+@deterministic
+@given(profile_pairs() | wide_profile_pairs, st.data())
+def test_masks_read_the_order_of_magnitude(pair, data):
+    a, b = pair
+    u = a.universe
+    bit = u.bits.__getitem__
+    assert sorted(u.bits.values()) == [1 << k for k in range(len(u.arguments))]
+    assert a.masks == (sum(map(bit, a.pos)), sum(map(bit, a.neg)))
+    names = data.draw(subsets(sorted(u.by_name)))
+    for side in (names, a.pos - b.pos, b.neg - a.neg, a.members, b.members):
+        mask = sum(map(bit, side))
+        assert u.bit_levels[mask.bit_length()] == om(u, side)
+    assert compare(Rule.DISCRI, a, b) is _discri_by_differences(a, b)
 
 
 @deterministic
