@@ -232,12 +232,12 @@ def impl_cases_weak(space: ProfileSpace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def capacity_values(space: ProfileSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-profile positive and negative capacities: counts by rank times their levels' weights.
+    """Per-profile positive and negative capacities: counts by rank times ``universe.weights``.
 
     Both are exact Python integers (``dtype=object``): weights pass int64 on
     small universes, e.g. ``13**18`` over 6 arguments on 19 levels.
     """
-    weights = np.array([space.universe.weights[level] for level in space.occupied], dtype=object)
+    weights = np.array(space.universe.weights, dtype=object)
     return space.pos_counts.astype(object) @ weights, space.neg_counts.astype(object) @ weights
 
 
@@ -253,7 +253,7 @@ def capacity_bilexi_weak_matrix(space: ProfileSpace) -> np.ndarray:
 
     Applies the leading-level rule of :func:`proscons.encodings.leading_level`
     to every pair's capacity differences, by one search per ledger in the
-    weight table above the null level.
+    weights above the null level: the search gives the leading rank.
     """
     above_null = np.array(space.universe.weights[1:], dtype=object)
     dpos, dneg = (values[:, None] - values[None, :] for values in capacity_values(space))

@@ -5,12 +5,11 @@ iff bit ``i`` of ``m`` is set, with arguments in declaration order.  That
 makes the subset index double as the array index, so per-profile
 statistics and whole relation matrices stay vectorised.  A space keeps its
 masks in one table: the statistics come from its bit table, and submasks
-are selected from it, not walked.  Levels count only by their order, so a
-space ranks ``DecisionUniverse.occupied`` (the levels some argument occupies,
-null included): its count columns and ``omp``/``omn`` use ranks, not levels.
-``LEVEL_BOUND`` = 2^15 bounds that length for what does grow with it: each
-``--generate`` scale, built eagerly, and the capacity weight table, which
-runs up to the top occupied level: L² bits for an argument L levels up.
+are selected from it, not walked.  Levels count only by their order: a space
+reads each argument's index among the occupied levels (``DecisionUniverse.ranks``),
+its count columns and ``omp``/``omn`` hold ranks, and no array follows the
+scale's length.  Only a ``--generate`` scale, built eagerly, does: ``LEVEL_BOUND``
+= 2^15 bounds it, and a file's scale too, as a check on outside input.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from ..core import (
 
 PAIRWISE_BOUND = 12   # profile enumeration guard for checks over pairs
 TUPLE_BOUND = 6       # guard for checks quantifying over three or four subsets
-LEVEL_BOUND = 1 << 15  # scale length guard: a weight table up to level 2^15 takes 109-318 MB
+LEVEL_BOUND = 1 << 15  # scale length guard: each --generate scale is built eagerly
 
 
 class UniverseTooLargeError(ProblemError):
@@ -58,8 +57,7 @@ class ProfileSpace:
         self.names = tuple(a.name for a in args)
         self.n = len(args)
         self.size = 1 << self.n
-        self.occupied = universe.occupied
-        rank = np.array([self.occupied.index(a.level) for a in args], dtype=np.int8)
+        rank = np.array([universe.ranks[a.name] for a in args], dtype=np.int8)
         is_pro = np.array(
             [a.polarity is Polarity.PRO and not a.is_null for a in args], dtype=bool
         )
@@ -75,7 +73,7 @@ class ProfileSpace:
 
         # Per-subset stats from the bit table: held[m, i] is bit i of mask m.
         held = (self.masks[:, None] >> np.arange(self.n) & 1).astype(bool)
-        at_rank = (rank[:, None] == np.arange(len(self.occupied))).astype(np.int16)
+        at_rank = (rank[:, None] == np.arange(len(universe.occupied))).astype(np.int16)
         self.pos_counts = (held & is_pro).astype(np.int16) @ at_rank
         self.neg_counts = (held & is_con).astype(np.int16) @ at_rank
         self.omp = np.where(held & is_pro, rank, 0).max(axis=1, initial=0)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -259,6 +257,12 @@ class DecisionUniverse:
         return tuple(sorted({0, *(a.level for a in self.arguments)}))
 
     @cached_property
+    def ranks(self) -> Mapping[str, int]:
+        """Every argument's index in ``occupied``, by name: rules read levels by order only."""
+        rank = {level: r for r, level in enumerate(self.occupied)}
+        return {a.name: rank[a.level] for a in self.arguments}
+
+    @cached_property
     def bits(self) -> Mapping[str, int]:
         """One bit per argument, in ascending level order: a mask's top bit holds its top level."""
         ranked = sorted(self.arguments, key=lambda a: a.level)
@@ -271,8 +275,8 @@ class DecisionUniverse:
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
-        """Default-base weights 0, B, B², … of the levels up to the top occupied one."""
-        return level_weights(default_base(self), 1 + self.occupied[-1])
+        """Default-base weights by rank: 0 for null, then ``B**level`` per occupied level."""
+        return (0, *map(default_base(self).__pow__, self.occupied[1:]))
 
     @cached_property
     def pros(self) -> frozenset[str]:
@@ -329,10 +333,6 @@ def default_base(universe: DecisionUniverse) -> int:
     """
     return 2 * max(len(universe.arguments), 1) + 1
 
-
-def level_weights(base: int, size: int) -> tuple[int, ...]:
-    """Big-stepped weights of ``size`` levels, each ``base`` times the one below; null weighs 0."""
-    return (0, *accumulate(repeat(base, size - 1), mul))
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -421,23 +421,25 @@ class OptionProfile:
     @cached_property
     def capacities(self) -> tuple[int, int]:
         """(σ+, σ−): the capacities of the pros and of the cons under the default base."""
-        weigh, levels = self.universe.weights.__getitem__, self.universe.levels.__getitem__
-        return sum(map(weigh, map(levels, self.pos))), sum(map(weigh, map(levels, self.neg)))
+        weigh, ranks = self.universe.weights.__getitem__, self.universe.ranks.__getitem__
+        return sum(map(weigh, map(ranks, self.pos))), sum(map(weigh, map(ranks, self.neg)))
 
     # -- per-level sections ----------------------------------------------
 
     @cached_property
     def pos_level_counts(self) -> tuple[int, ...]:
-        counts = [0] * (1 + self.universe.occupied[-1])
+        """Pros per occupied level, indexed by rank (``universe.ranks``)."""
+        counts = [0] * len(self.universe.occupied)
         for name in self.pos:
-            counts[self.universe.level_of(name)] += 1
+            counts[self.universe.ranks[name]] += 1
         return tuple(counts)
 
     @cached_property
     def neg_level_counts(self) -> tuple[int, ...]:
-        counts = [0] * (1 + self.universe.occupied[-1])
+        """Cons per occupied level, indexed by rank (``universe.ranks``)."""
+        counts = [0] * len(self.universe.occupied)
         for name in self.neg:
-            counts[self.universe.level_of(name)] += 1
+            counts[self.universe.ranks[name]] += 1
         return tuple(counts)
 
     def section(self, level: int) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:

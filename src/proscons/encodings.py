@@ -7,8 +7,8 @@ below it.  Summing weights per polarity yields two capacities; their
 difference is a signed score (the *net predisposition*) whose comparison
 reproduces the signed-count rule exactly, while reading each capacity
 difference at its leading level (:func:`leading_level`) reproduces the
-two-ledger rule.  Under the default base the capacities are computed once
-per option (``OptionProfile.capacities``), not per comparison.
+two-ledger rule.  Under the default base each option sums its capacities
+once (``OptionProfile.capacities``) from ``DecisionUniverse.weights``.
 
 The module also hosts the cue-scanning procedure for linearly ranked
 binary cues ("take the best"): complete every option with the polar
@@ -119,14 +119,14 @@ def compare_np(a: OptionProfile, b: OptionProfile, base: int | None = None) -> O
 
 
 def leading_level(diff: int, weights: tuple[int, ...]) -> int:
-    """Top level at which a difference of big-stepped capacities is decided.
+    """Index in ``weights`` at which a difference of big-stepped capacities is decided.
 
-    ``weights`` is a table ``(0, B, B², …)`` with ``B`` above twice every
-    per-level count difference, as :attr:`DecisionUniverse.weights` is.  If
-    ``D = Σ d_k·B^k`` has its top nonzero ``d_k`` at level ``k``, then
-    ``B^k < 2|D| < B^(k+1)`` and ``D`` has the sign of ``d_k``: ``k`` is the
-    number of weights ``B, B², …`` below ``2|D|`` (the table may end at
-    ``B^k``), and zero reads as level 0.
+    ``weights`` is an ascending table ``(0, B^l1, B^l2, …)``, one power per
+    occupied level as :attr:`DecisionUniverse.weights` is, with ``B`` above
+    twice every count difference.  If ``D = Σ d_k·weights[k]`` has its top
+    nonzero ``d_k`` at index ``k``, then ``weights[k] < 2|D| < B·weights[k]``
+    and ``D`` has the sign of ``d_k``: ``k`` is the number of weights above
+    the null one below ``2|D|``, zero reads as 0, and ranks compare as levels do.
 
     Both capacity routes read the two-ledger rule so: a ledger (pro, con)
     speaks when its leading level is at least the other's, and the first

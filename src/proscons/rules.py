@@ -191,8 +191,8 @@ def compare_discri(a: OptionProfile, b: OptionProfile) -> Outcome:
 def compare_bilexi(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Levelwise tallying of pros and cons, kept on separate ledgers.
 
-    Scan the occupied levels (no other can differ) from the top down to
-    the first level where the pro counts or the con counts differ; there,
+    Scan the occupied levels by rank (no other can differ) from the top
+    down to the first where the pro counts or the con counts differ; there,
     the option with at least as many pros and at most as many cons wins.
     If each option wins one ledger the conflict is reported as
     incomparability; if no level differs the options are indifferent.
@@ -201,10 +201,10 @@ def compare_bilexi(a: OptionProfile, b: OptionProfile) -> Outcome:
     require_same_universe(a, b)
     apos, aneg = a.pos_level_counts, a.neg_level_counts
     bpos, bneg = b.pos_level_counts, b.neg_level_counts
-    for level in reversed(a.universe.occupied):
-        if apos[level] != bpos[level] or aneg[level] != bneg[level]:
-            first = apos[level] >= bpos[level] and aneg[level] <= bneg[level]
-            second = bpos[level] >= apos[level] and bneg[level] <= aneg[level]
+    for r in range(len(apos) - 1, 0, -1):
+        if apos[r] != bpos[r] or aneg[r] != bneg[r]:
+            first = apos[r] >= bpos[r] and aneg[r] <= bneg[r]
+            second = bpos[r] >= apos[r] and bneg[r] <= aneg[r]
             return Outcome.from_weak(first, second)
     return Outcome.INDIFFERENT
 
@@ -213,16 +213,16 @@ def compare_lexi(a: OptionProfile, b: OptionProfile) -> Outcome:
     """Levelwise tallying with pros cancelling cons of equal importance.
 
     Each level contributes a single signed count (pros minus cons); the
-    first occupied level from the top where the signed counts differ
-    decides strictly.  Complete and transitive: ties require identical
+    first occupied level from the top (by rank) where the signed counts
+    differ decides strictly.  Complete and transitive: ties require identical
     signed counts at every level above the null one.
     """
     require_same_universe(a, b)
     apos, aneg = a.pos_level_counts, a.neg_level_counts
     bpos, bneg = b.pos_level_counts, b.neg_level_counts
-    for level in reversed(a.universe.occupied):
-        da = apos[level] - aneg[level]
-        db = bpos[level] - bneg[level]
+    for r in range(len(apos) - 1, 0, -1):
+        da = apos[r] - aneg[r]
+        db = bpos[r] - bneg[r]
         if da != db:
             return Outcome.PREFER_FIRST if da > db else Outcome.PREFER_SECOND
     return Outcome.INDIFFERENT

@@ -169,17 +169,19 @@ class TestProfiles:
             luc.options["a"].union(lucy.options["a"])
 
     def test_level_counts_stop_at_the_top_occupied_level(self):
-        # One argument at level 1 of 30,000: a count per scale level would
-        # hold about 240 KB per tuple; only the null level and level 1 count.
-        p = make_universe(30_000, [("x", "pro", 1)]).option({"x"})
-        tracemalloc.start()
-        try:
-            counts = p.pos_level_counts, p.neg_level_counts
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 << 10
-        assert counts == ((0, 1), (0, 0))
+        # One argument at level 1 or 29,990 of 30,000: a count per scale
+        # level would hold about 240 KB per tuple; counts are by rank, so
+        # only the null level and the argument's level count.
+        for level in (1, 29_990):
+            p = make_universe(30_000, [("x", "pro", level)]).option({"x"})
+            tracemalloc.start()
+            try:
+                counts = p.pos_level_counts, p.neg_level_counts
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 10
+            assert counts == ((0, 1), (0, 0))
 
     def test_bits_follow_the_levels(self):
         u = make_universe(9, [("a", "pro", 8), ("z", "con", 0), ("b", "con", 3), ("c", "pro", 3)])

@@ -18,7 +18,6 @@ from proscons import (
     sigma,
     ttb_compare,
 )
-from proscons.core import level_weights
 from proscons.encodings import (
     BigSteppedCapacity,
     default_base,
@@ -123,15 +122,25 @@ class TestWeightTable:
                 for side in (option.pos, option.neg):
                     assert cap.of(side) == sum(base ** u.level_of(n) for n in side)
 
-    @pytest.mark.parametrize("base, size", [(3, 2), (3, 5), (15, 3), (25, 40), (7, 1200)])
-    def test_table_holds_each_power_of_the_base(self, base, size):
-        assert level_weights(base, size) == (0, *(base**k for k in range(1, size)))
-
     def test_table_stops_at_the_top_occupied_level(self):
         u = make_universe(600, [("x", "pro", 1), ("z", "con", 0)])
         assert len(u.weights) == 2
-        assert len(make_universe(600, [("x", "pro", 1), ("y", "con", 7)]).weights) == 8
+        # One power per occupied level, read by rank: base 5 for two arguments.
+        assert make_universe(600, [("x", "pro", 1), ("y", "con", 7)]).weights == (0, 5, 5**7)
         assert make_universe(600, [("z", "pro", 0)]).weights == (0,)
+
+    def test_table_holds_one_power_per_occupied_level(self):
+        # One argument at level 4,000: a power per level up to it would hold
+        # about 1.6 MB; the table is the null weight and 3**4000.
+        u = make_universe(4_001, [("x", "pro", 4_000)])
+        tracemalloc.start()
+        try:
+            weights = u.weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        assert weights == (0, 3**4_000)
 
     def test_capacity_takes_only_its_members_powers(self):
         # One argument at level 1 of 600: a table of 600 powers of 10**1000

@@ -37,7 +37,6 @@ from proscons import (
     sigma,
     ttb_compare,
 )
-from proscons.core import level_weights
 from proscons.encodings import default_base, leading_level
 from proscons.audit import (
     CHECKS,
@@ -155,7 +154,8 @@ def level_differences(draw):
 @given(level_differences())
 def test_leading_level_is_the_top_differing_level(drawn):
     universe, diffs = drawn
-    weights = level_weights(default_base(universe), len(universe.scale))
+    base = default_base(universe)
+    weights = (0, *(base**k for k in range(1, len(universe.scale))))
     value = sum(d * w for d, w in zip(diffs, weights))
     top = max((k for k, d in enumerate(diffs) if d), default=0)
     assert leading_level(value, weights) == top
@@ -196,6 +196,23 @@ def test_masks_read_the_order_of_magnitude(pair, data):
         mask = sum(map(bit, side))
         assert u.bit_levels[mask.bit_length()] == om(u, side)
     assert compare(Rule.DISCRI, a, b) is _discri_by_differences(a, b)
+
+
+@deterministic
+@given(wide_profile_pairs, st.data())
+def test_leading_level_reads_the_rank_table(pair, data):
+    # On a sparse scale the universe's table holds one power per occupied
+    # level, and the leading index is the top rank whose digit is nonzero.
+    u = pair[0].universe
+    n, base = len(u.arguments), default_base(u)
+    digit = st.integers(-n, n) | st.sampled_from([-n, -1, 0, 1, n])
+    ranked = len(u.occupied) - 1
+    diffs = (0, *data.draw(st.lists(digit, min_size=ranked, max_size=ranked)))
+    value = sum(d * base**level for d, level in zip(diffs, u.occupied))
+    assert value == sum(d * w for d, w in zip(diffs, u.weights))
+    top = max((r for r, d in enumerate(diffs) if d), default=0)
+    assert leading_level(value, u.weights) == top
+    assert (value > 0) - (value < 0) == (diffs[top] > 0) - (diffs[top] < 0)
 
 
 @deterministic
@@ -240,16 +257,17 @@ def test_profile_space_rows_are_the_scalar_profiles(case):
     universe, masks = case
     space = ProfileSpace(universe)
     names = [a.name for a in universe.arguments]
-    assert space.occupied == tuple(sorted({0, *(a.level for a in universe.arguments)}))
+    occupied = universe.occupied
+    assert occupied == tuple(sorted({0, *(a.level for a in universe.arguments)}))
     for m in masks:
         p = universe.option(name for i, name in enumerate(names) if m >> i & 1)
-        # Counts by rank are the scalar counts at the occupied levels, and 0 elsewhere.
-        for counts, scalar in ((space.pos_counts[m], p.pos_level_counts),
-                               (space.neg_counts[m], p.neg_level_counts)):
-            assert tuple(counts) == tuple(scalar[level] for level in space.occupied)
-            assert not any(c for level, c in enumerate(scalar) if level not in space.occupied)
-        assert space.occupied[space.omp[m]] == p.om_pos
-        assert space.occupied[space.omn[m]] == p.om_neg
+        # Both routes count by the rank of the occupied level.
+        assert tuple(space.pos_counts[m]) == p.pos_level_counts
+        assert tuple(space.neg_counts[m]) == p.neg_level_counts
+        for side, counts in ((p.pos, p.pos_level_counts), (p.neg, p.neg_level_counts)):
+            assert counts == tuple(sum(universe.level_of(n) == lv for n in side) for lv in occupied)
+        assert occupied[space.omp[m]] == p.om_pos
+        assert occupied[space.omn[m]] == p.om_neg
         assert space.submasks(m).tolist() == [s for s in range(1 << len(names)) if not s & ~m]
 
 
