@@ -37,8 +37,10 @@ three corollaries) list their shifts as plain data for one ``_shift_scan``:
 ``(row_free, col_free, views, masks, args)``, where A ranges over the
 submasks of ``row_free``, B over those of ``col_free``, each view ``(r, c)``
 reads the pair (A | r, B | c), and the witness is (A, B, *masks) with
-``args``.  The ground checks read the ground relation off the pair code, at
-the singletons and the empty profile.
+``args``.  ``prefindependence`` shifts by single arguments and ``anonymity``
+reads each indifferent pair once; their comments say why no witness changes.
+Single-argument facts (the ground relation, x ~ ∅, x′ ≽ x, x ~ y) have one
+reader, ``_ground``: the pair code at the singletons and the empty profile.
 
 A relation is stored only as its 2-bit pair code (``RelationSet.code``):
 single cells, the efficiency and weak-unanimity checks and the scans that
@@ -193,9 +195,9 @@ def _indifferent_pairs(rel) -> list[list[int]]:
 
 
 def _ground(ctx: AuditContext, rule: Rule) -> np.ndarray:
-    """The weak relation on the singletons, in argument order, then the empty profile."""
+    """The pair code on the singletons, in argument order, then the empty profile."""
     items = [1 << i for i in range(ctx.space.n)] + [0]
-    return (_gather(ctx.rel(rule).code, items, items) & 1).view(bool)
+    return _gather(ctx.rel(rule).code, items, items)
 
 
 def _reach(base: np.ndarray) -> np.ndarray:
@@ -204,18 +206,16 @@ def _reach(base: np.ndarray) -> np.ndarray:
 
 
 def _check_ca(ctx: AuditContext, rule: Rule):
-    ground = _ground(ctx, rule)
-    hit = _first(~ground[:-1, -1] & ~ground[-1, :-1])
+    hit = _first(_ground(ctx, rule)[:-1, -1] == 0)
     return None if hit is None else Witness(args=(ctx.space.names[hit[0]],))
 
 
 def _check_sqc(ctx: AuditContext, rule: Rule):
     # Shifts: the arguments the rule itself deems worthless, by index.
-    rel = ctx.rel(rule)
-    full = ctx.space.full_mask
-    shifts = ((full, full, ((0, 0), (1 << i, 0), (0, 1 << i)), (), (name,))
-              for i, name in enumerate(ctx.space.names) if rel.code[1 << i, 0] == 3)
-    return _shift_scan(ctx, rel.weak, shifts, lambda v, r, c: (v != r) | (v != c))
+    full, names = ctx.space.full_mask, ctx.space.names
+    shifts = ((full, full, ((0, 0), (1 << i, 0), (0, 1 << i)), (), (names[i],))
+              for i in np.flatnonzero(_ground(ctx, rule)[:-1, -1] == 3).tolist())
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts, lambda v, r, c: (v != r) | (v != c))
 
 
 def _monotony_scan(ctx, weak, side, *, positive: bool):
@@ -285,7 +285,7 @@ def _check_xmonotony(ctx, rule):
     # index, x ≠ x' and x' ≽ x; A ascending over the profiles without x or x'.
     code, space = ctx.rel(rule).code, ctx.space
     bits = 1 << np.arange(space.n)
-    x, xp = np.nonzero((_gather(code, bits, bits).T & 1 > 0) & ~np.eye(space.n, dtype=bool))
+    x, xp = np.nonzero((_ground(ctx, rule)[:-1, :-1] & 2 > 0) & ~np.eye(space.n, dtype=bool))
     shift, a = np.nonzero((space.masks & (bits[x] | bits[xp])[:, None]) == 0)
     x, xp = x[shift], xp[shift]
     grid = _XMONOTONY_BREAKS[code.take(a | bits[x], axis=0), code.take(a | bits[xp], axis=0)]
@@ -297,18 +297,15 @@ def _check_xmonotony(ctx, rule):
 
 
 def _cancellation(ctx, rule, *, positive: bool):
-    rel = ctx.rel(rule)
-    space = ctx.space
-    u = ctx.universe
-    same = sorted(u.pros if positive else u.cons, key=space.names.index)
-    other = sorted(u.cons if positive else u.pros, key=space.names.index)
+    code, space, ground = ctx.rel(rule).code, ctx.space, _ground(ctx, rule)
+    sides = (space.pos_mask, space.neg_mask) if positive else (space.neg_mask, space.pos_mask)
+    same, other = ([i for i in range(space.n) if side >> i & 1] for side in sides)
     for y in other:
-        yb = space.arg_bit(y)
-        blocked = [x for x in same if rel.code[space.arg_bit(x) | yb, 0] == 3]
+        blocked = [x for x in same if code[1 << x | 1 << y, 0] == 3]
         for x in blocked:
             for z in blocked:
-                if rel.code[space.arg_bit(x), space.arg_bit(z)] != 3:
-                    return Witness(args=(x, z, y))
+                if ground[x, z] != 3:
+                    return Witness(args=(space.names[x], space.names[z], space.names[y]))
     return None
 
 
@@ -409,10 +406,12 @@ def _efficiency(ctx, rule, *, positive: bool):
 
 
 def _check_prefindependence(ctx, rule):
-    # Shifts: C ascending; A and B range over the profiles disjoint from C.
+    # Shifts: C = {x}, x by index; A and B are disjoint from C.  If any C breaks
+    # (A, B), add its arguments one at a time: some step x changes ``weak``, so
+    # {x} breaks too and 1 << x <= C.  So the first C that breaks is a single x.
     full = ctx.space.full_mask
     shifts = ((full & ~c, full & ~c, ((0, 0), (c, c)), (c,), ())
-              for c in range(1, ctx.space.size))
+              for c in (1 << i for i in range(ctx.space.n)))
     return _shift_scan(ctx, ctx.rel(rule).weak, shifts, np.not_equal)
 
 
@@ -435,8 +434,9 @@ def _transitive_violation(ctx, rule, *, part: str):
 
 
 def _check_simplegrounding(ctx, rule):
-    ground = _ground(ctx, rule)
-    if not (ground | ground.T).all() or (_reach(ground) & ~ground).any():
+    code = _ground(ctx, rule)
+    ground = (code & 1).view(bool)
+    if not code.all() or (_reach(ground) & ~ground).any():
         return Witness(note="ground")
     for sub in ("xmonotony", "posc", "negc"):
         witness = CHECKS[sub].sweep(ctx, rule)
@@ -446,11 +446,12 @@ def _check_simplegrounding(ctx, rule):
 
 
 def _check_anonymity(ctx, rule):
-    # Shifts: (C, D) row-major over indifferent pairs; A is disjoint from both.
+    # Shifts: (C, D) row-major over indifferent pairs with C < D; A is disjoint
+    # from both.  (D, C) comes later and gives the same grid, its views swapped.
     rel = ctx.rel(rule)
     full = ctx.space.full_mask
     shifts = ((full & ~(c | d), full, ((c, 0), (d, 0)), (c, d), ())
-              for c, d in _indifferent_pairs(rel))
+              for c, d in _indifferent_pairs(rel) if c < d)
     return _shift_scan(ctx, rel.code, shifts, np.not_equal)
 
 
@@ -471,8 +472,7 @@ def _refinement_witness(coarse, ctx, fine):
 
 
 def _check_unbiased_ground(ctx, rule):
-    mine, base = _ground(ctx, rule), _ground(ctx, Rule.BIPOSS)
-    hit = _first((mine != base) | (mine.T != base.T))
+    hit = _first(_ground(ctx, rule) != _ground(ctx, Rule.BIPOSS))
     if hit is None:
         return None
     items = ctx.space.names + (EMPTY_LABEL,)
@@ -510,13 +510,13 @@ def _check_swap_indifferent_sets(ctx, rule):
 def _check_swap_indifferent_singletons(ctx, rule):
     # Swapping single arguments x ~ y; x may already sit in B, y in A.
     # Shifts: (x, y) by argument index.
-    rel = ctx.rel(rule)
+    ground = _ground(ctx, rule)
     space = ctx.space
     full = space.full_mask
     shifts = ((full & ~(1 << i), full & ~(1 << j), ((0, 0), (1 << i, 1 << j)), (), (x, y))
               for i, x in enumerate(space.names) for j, y in enumerate(space.names)
-              if rel.code[1 << i, 1 << j] == 3)
-    return _shift_scan(ctx, rel.weak, shifts, np.not_equal)
+              if ground[i, j] == 3)
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts, np.not_equal)
 
 
 def _agreement(build, note, ctx, rule):

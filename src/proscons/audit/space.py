@@ -89,9 +89,6 @@ class ProfileSpace:
     def profile(self, mask: int) -> OptionProfile:
         return self.universe.option(self.members(mask))
 
-    def arg_bit(self, name: str) -> int:
-        return 1 << self.names.index(name)
-
     # -- submask helpers ---------------------------------------------------
 
     def submasks(self, mask: int) -> np.ndarray:

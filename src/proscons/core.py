@@ -135,11 +135,9 @@ class ImportanceScale:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if len(self.levels) < 2:
-            raise UnknownLevelError(
-                "scale needs at least two levels (the null level plus one)"
-            )
-        if len(set(self.levels)) != len(self.levels):
-            raise UnknownLevelError("scale labels must be distinct")
+            raise UnknownLevelError("need at least two levels (the null level plus one)")
+        if len(self.positions) != len(self.levels):
+            raise UnknownLevelError("level labels must be distinct")
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -148,10 +146,15 @@ class ImportanceScale:
     def top(self) -> int:
         return len(self.levels) - 1
 
+    @cached_property
+    def positions(self) -> Mapping[str, int]:
+        """Index of every label, so a lookup costs the same on any scale length."""
+        return {label: i for i, label in enumerate(self.levels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.levels.index(label)
-        except ValueError:
+            return self.positions[label]
+        except (KeyError, TypeError):
             raise UnknownLevelError(f"unknown level label {label!r}") from None
 
     def label(self, index: int) -> str:

@@ -58,7 +58,7 @@ class Problem:
             raise ProblemFormatError(f"unknown option {name!r}") from None
 
 
-def _argument_error(entry, levels) -> tuple[str, str] | None:
+def _argument_error(entry, scale: ImportanceScale) -> tuple[str, str] | None:
     """Field suffix and message of an argument declaration's first defect."""
     if not isinstance(entry, dict):
         return "", "expected an object"
@@ -72,7 +72,7 @@ def _argument_error(entry, levels) -> tuple[str, str] | None:
         return ".polarity", f"expected one of {_POLARITIES}, got {polarity!r}"
     if not isinstance(level, str):
         return ".level", "levels are referenced by label"
-    if level not in levels:
+    if level not in scale.positions:
         return ".level", f"unknown level label {level!r}"
     return None
 
@@ -97,18 +97,17 @@ def _read(data, source: str) -> tuple[Problem | None, ValidationReport]:
     levels = data.get("scale")
     if not isinstance(levels, list) or not all(isinstance(s, str) for s in levels):
         return violation("scale", "expected a list of level labels, bottom first")
-    if len(levels) < 2:
-        return violation("scale", "need at least two levels (the null level plus one)")
-    if len(set(levels)) != len(levels):
-        return violation("scale", "level labels must be distinct")
-    scale = ImportanceScale(tuple(levels))
+    try:
+        scale = ImportanceScale(tuple(levels))
+    except ProblemError as error:
+        return violation("scale", str(error))
 
     raw_args = data.get("arguments")
     if not isinstance(raw_args, list):
         return violation("arguments", "expected a list of argument declarations")
     expanded: list[Argument] = []
     for i, entry in enumerate(raw_args):
-        error = _argument_error(entry, scale.levels)
+        error = _argument_error(entry, scale)
         if error:
             violation(f"arguments[{i}]{error[0]}", error[1])
         else:

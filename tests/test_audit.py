@@ -222,6 +222,19 @@ class TestCheckAxiom:
         assert verdict.witness.profiles == (frozenset({"x", "y"}), frozenset({"x"}))
         assert replay_witness(verdict, u)
 
+    def test_prefindependence_selects_one_free_set_per_argument(self, monkeypatch):
+        # Where the axiom holds, the scan visits every shift it makes: a shift per
+        # nonempty C selects 2^6 - 1 = 63 free sets, a shift per argument 6.
+        u = make_universe(4, [("p1", "pro", 1), ("p2", "pro", 2), ("p3", "pro", 3),
+                              ("n1", "con", 1), ("n2", "con", 2), ("z", "pro", 0)])
+        ctx = AuditContext(u)
+        selected = []
+        submasks = ctx.space.submasks
+        monkeypatch.setattr(ctx.space, "submasks",
+                            lambda mask: selected.append(mask) or submasks(mask))
+        assert check_axiom(Axiom.PREF_INDEPENDENCE, Rule.LEXI, u, context=ctx).holds
+        assert 0 < len(selected) <= len(u.arguments)
+
     def test_six_core_axioms_hold_for_every_rule(self):
         core = (
             Axiom.CA,

@@ -127,3 +127,31 @@ def test_fixture_paths_exist():
         assert set(data) == {"scale", "arguments", "options"}
     with pytest.raises(ProblemFormatError):
         fixture_path("nessie")
+
+
+class _CountedLabel(str):
+    """A label that counts its equality tests."""
+
+    calls = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        _CountedLabel.calls += 1
+        return str.__eq__(self, other)
+
+
+def test_level_labels_resolve_without_scanning_the_scale(monkeypatch):
+    # 200 pros near the top of a 3,000-level scale; each level label is a new
+    # object, so no lookup is settled by identity.  A scan of the scale per
+    # label would test equality about 200 × 3,000 times.
+    monkeypatch.setattr(_CountedLabel, "calls", 0)
+    scale = [_CountedLabel(f"l{i}") for i in range(3000)]
+    doc = {
+        "scale": scale,
+        "arguments": [{"name": f"x{i}", "polarity": "pro", "level": _CountedLabel(f"l{2999 - i}")}
+                      for i in range(200)],
+        "options": {},
+    }
+    problem = parse_problem(doc)
+    assert problem.universe.level_of("x0") == 2999
+    assert _CountedLabel.calls <= 2 * (len(scale) + len(doc["arguments"]))

@@ -5,11 +5,11 @@ tests draw universes of up to 60 arguments on up to 30 levels, 61 to 150
 arguments for the argument masks, and profile spaces and masks also on
 scales of 200 to 400 levels, and check, through the scalar functions, the
 claims the sweeps certify on small ones.
-The closure kernels, the shift-scan, ground, union and pairwise checks are
-held to their definitions on random relations, which break the axioms far
-more often than the rules do, and every check's replay to its sweep's
-witnesses; the profile space is held to the scalar profiles, and every
-rule's weak matrix to its scalar rule.
+The closure kernels, the shift-scan, ground, cancellation, union and
+pairwise checks are held to their definitions on random relations, which
+break the axioms far more often than the rules do, and every check's replay
+to its sweep's witnesses; the profile space is held to the scalar profiles,
+and every rule's weak matrix to its scalar rule.
 """
 
 import numpy as np
@@ -568,6 +568,42 @@ def test_shift_and_ground_checks_match_their_definitions(ctx):
 
 
 @st.composite
+def cancellation_contexts(draw):
+    """Audit context over 2 to 5 arguments, at least one pro and one con, whose
+    ``lexi`` relation is installed at random: cells dense enough that
+    arguments often cancel, or the order of an additive score with weights
+    in -1..1, which cancellation never breaks; one cell may then flip."""
+    n = draw(st.integers(2, 5))
+    ctx = _context(1 << n, draw(st.integers(1, (1 << n) - 2)))
+    size = ctx.space.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        score = (np.arange(size)[:, None] >> np.arange(n) & 1) @ rng.integers(-1, 2, size=n)
+        w = score[:, None] >= score[None, :]
+    else:
+        w = rng.random((size, size)) < draw(st.sampled_from([0.6, 0.8, 0.95]))
+    index = st.integers(0, size - 1)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=1)):
+        w[a, b] = not w[a, b]
+    ctx._relations[Rule.LEXI] = RelationSet(w)
+    return ctx
+
+
+@deterministic
+@given(cancellation_contexts())
+def test_cancellation_checks_match_their_definitions(ctx):
+    # Arguments x and z on one side that each cancel y on the other, x ∪ y ~ ∅
+    # and z ∪ y ~ ∅, must be indifferent; the first (y, x, z) by index breaks it.
+    sym, names, u = ctx.rel(Rule.LEXI).sym, ctx.space.names, ctx.universe
+    for name, same, other in (("posc", u.pros, u.cons), ("negc", u.cons, u.pros)):
+        xs, ys = ([i for i, arg in enumerate(names) if arg in side] for side in (same, other))
+        hits = [(x, z, y) for y in ys for x in xs for z in xs
+                if sym[1 << x | 1 << y, 0] and sym[1 << z | 1 << y, 0] and not sym[1 << x, 1 << z]]
+        expected = Witness(args=tuple(names[i] for i in hits[0])) if hits else None
+        assert CHECKS[name].verdict(Rule.LEXI, u, context=ctx).witness == expected, name
+
+
+@st.composite
 def unanimity_contexts(draw):
     """Audit context over 2 to 9 arguments: pros and cons interleaved, or only
     pros (N = ∅), or only cons (P = ∅), with one null argument among them;
@@ -614,7 +650,7 @@ def test_weakunanimity_names_the_first_cell_of_its_grid(case):
 def _oracle(ctx):
     """A ``compare`` that reads the relations installed in ``ctx``."""
     def compare(rule, a, b):
-        i, j = (sum(ctx.space.arg_bit(name) for name in p.members) for p in (a, b))
+        i, j = (sum(1 << ctx.space.names.index(name) for name in p.members) for p in (a, b))
         code = int(ctx.rel(rule).code[i, j])
         return Outcome.from_weak(code & 1, code >> 1)
     return compare
