@@ -15,9 +15,8 @@ corollaries named in ``COROLLARIES`` and the encoding agreements named in
 
 The replay route never touches the matrices, so a witness that replays is
 evidence against the rule, not against the sweep machinery.  A check
-family has one replay, parametrised as its sweep is (``positive``,
-``strict_parts`` or the relation part it tests) and bound with
-``partial``.
+family has one replay, parametrised as its sweep is (``positive`` or the
+relation part it tests) and bound with ``partial``.
 
 Some sweeps first decide with a cheaper exact kernel and scan for the
 witness only when it finds a violation: transitivity with a matrix product,
@@ -39,6 +38,8 @@ submasks of ``row_free``, B over those of ``col_free``, each view ``(r, c)``
 reads the pair (A | r, B | c), and the witness is (A, B, *masks) with
 ``args``.  ``prefindependence`` shifts by single arguments and ``anonymity``
 reads each indifferent pair once; their comments say why no witness changes.
+Their replays, after their guards, make one ``_shifted`` call: whether
+some view reads (A ∪ R, B ∪ C) unlike the first, through ``compare`` alone.
 Single-argument facts (the ground relation, x ~ ∅, x′ ≽ x, x ~ y) have one
 reader, ``_ground``: the pair code at the singletons and the empty profile.
 
@@ -380,9 +381,8 @@ def _combination_scan(ctx, base):
     return None
 
 
-def _combination(ctx, rule, *, strict_parts: bool):
-    rel = ctx.rel(rule)
-    base = rel.strict if strict_parts else rel.weak
+def _combination(ctx, rule, *, part: str):
+    base = getattr(ctx.rel(rule), part)
     return None if _union_closed(base) else _combination_scan(ctx, base)
 
 
@@ -543,6 +543,12 @@ def _sym(rule, a, b) -> bool:
 _PARTS = {"weak": _weak, "strict": _strict, "sym": _sym}
 
 
+def _shifted(rule, a, b, views, read=_weak) -> bool:
+    """Whether some view (R, C) reads (A ∪ R, B ∪ C) unlike the first view does."""
+    first, *rest = (read(rule, a.union(r), b.union(c)) for r, c in views)
+    return any(value != first for value in rest)
+
+
 def _replay_ca(rule, u, w):
     x = u.option({w.args[0]})
     return not _weak(rule, x, u.empty) and not _weak(rule, u.empty, x)
@@ -550,15 +556,8 @@ def _replay_ca(rule, u, w):
 
 def _replay_sqc(rule, u, w):
     a, b = (u.option(p) for p in w.profiles)
-    x = u.option({w.args[0]})
-    if not _sym(rule, x, u.empty):
-        return False
-    results = {
-        _weak(rule, a, b),
-        _weak(rule, a.union(x), b),
-        _weak(rule, a, b.union(x)),
-    }
-    return len(results) > 1
+    x, e = u.option({w.args[0]}), u.empty
+    return _sym(rule, x, e) and _shifted(rule, a, b, ((e, e), (x, e), (e, x)))
 
 
 def _replay_monotony(rule, u, w, *, positive: bool):
@@ -600,7 +599,11 @@ def _replay_xmonotony(rule, u, w):
     )
 
 
-def _replay_cancellation(rule, u, w):
+def _replay_cancellation(rule, u, w, *, positive: bool):
+    # x and z on the check's side, y on the other.
+    same, other = (u.pros, u.cons) if positive else (u.cons, u.pros)
+    if not ({w.args[0], w.args[1]} <= same and w.args[2] in other):
+        return False
     x, z, y = (u.option({name}) for name in w.args)
     return (
         _sym(rule, x.union(y), u.empty)
@@ -622,8 +625,8 @@ def _replay_clo(rule, u, w):
     return _replay_row_union(rule, u, w, part="sym")
 
 
-def _replay_combination(rule, u, w, *, strict_parts: bool):
-    holds = _strict if strict_parts else _weak
+def _replay_combination(rule, u, w, *, part: str):
+    holds = _PARTS[part]
     a, b, c, d = (u.option(p) for p in w.profiles)
     return holds(rule, a, b) and holds(rule, c, d) and not holds(rule, a.union(c), b.union(d))
 
@@ -640,7 +643,7 @@ def _replay_prefindependence(rule, u, w):
     a, b, c = (u.option(p) for p in w.profiles)
     if (a.members | b.members) & c.members:
         return False
-    return _weak(rule, a, b) != _weak(rule, a.union(c), b.union(c))
+    return _shifted(rule, a, b, ((u.empty, u.empty), (c, c)))
 
 
 def _replay_completeness(rule, u, w):
@@ -663,14 +666,10 @@ def _replay_simplegrounding(rule, u, w):
 
 def _replay_anonymity(rule, u, w):
     a, b, c, d = (u.option(p) for p in w.profiles)
-    if a.members & (c.members | d.members):
+    if a.members & (c.members | d.members) or not _sym(rule, c, d):
         return False
-    if not _sym(rule, c, d):
-        return False
-    return (
-        _weak(rule, a.union(c), b) != _weak(rule, a.union(d), b)
-        or _weak(rule, b, a.union(c)) != _weak(rule, b, a.union(d))
-    )
+    # The sweep reads pair codes: one outcome holds both directions.
+    return _shifted(rule, a, b, ((c, u.empty), (d, u.empty)), read=compare)
 
 
 def _replay_reflexive(rule, u, w):
@@ -693,11 +692,9 @@ def _replay_unbiased_ground(rule, u, w):
 
 def _replay_swap_indifferent_sets(rule, u, w):
     a, b, c, d = (u.option(p) for p in w.profiles)
-    if (a.members | b.members) & (c.members | d.members):
+    if (a.members | b.members) & (c.members | d.members) or not _sym(rule, c, d):
         return False
-    if not _sym(rule, c, d):
-        return False
-    return _weak(rule, a, b) != _weak(rule, a.union(c), b.union(d))
+    return _shifted(rule, a, b, ((u.empty, u.empty), (c, d)))
 
 
 def _replay_swap_indifferent_singletons(rule, u, w):
@@ -705,7 +702,7 @@ def _replay_swap_indifferent_singletons(rule, u, w):
     x, y = (u.option({name}) for name in w.args)
     if w.args[0] in a.members or w.args[1] in b.members or not _sym(rule, x, y):
         return False
-    return _weak(rule, a, b) != _weak(rule, a.union(x), b.union(y))
+    return _shifted(rule, a, b, ((u.empty, u.empty), (x, y)))
 
 
 def _replay_agreement(route, rule, u, w):
@@ -741,15 +738,15 @@ CHECKS: dict[str, Check] = {
         ("nontriviality", PAIRWISE_BOUND, _check_nontriviality, _replay_nontriviality),
         ("xmonotony", TUPLE_BOUND, _check_xmonotony, _replay_xmonotony),
         ("posc", PAIRWISE_BOUND, partial(_cancellation, positive=True),
-         _replay_cancellation),
+         partial(_replay_cancellation, positive=True)),
         ("negc", PAIRWISE_BOUND, partial(_cancellation, positive=False),
-         _replay_cancellation),
+         partial(_replay_cancellation, positive=False)),
         ("neg", TUPLE_BOUND, _check_neg, partial(_replay_row_union, part="strict")),
         ("clo", TUPLE_BOUND, _check_clo, _replay_clo),
-        ("gneg", TUPLE_BOUND, partial(_combination, strict_parts=True),
-         partial(_replay_combination, strict_parts=True)),
-        ("gclo", TUPLE_BOUND, partial(_combination, strict_parts=False),
-         partial(_replay_combination, strict_parts=False)),
+        ("gneg", TUPLE_BOUND, partial(_combination, part="strict"),
+         partial(_replay_combination, part="strict")),
+        ("gclo", TUPLE_BOUND, partial(_combination, part="weak"),
+         partial(_replay_combination, part="weak")),
         ("posefficiency", PAIRWISE_BOUND, partial(_efficiency, positive=True),
          partial(_replay_efficiency, positive=True)),
         ("negefficiency", PAIRWISE_BOUND, partial(_efficiency, positive=False),

@@ -47,6 +47,7 @@ from proscons.audit import (
     replay_witness,
 )
 from proscons.audit.axioms import (
+    COROLLARIES,
     _combination_scan,
     _monotony_scan,
     _union_closed,
@@ -690,6 +691,116 @@ def test_every_witness_replays_under_an_oracle_of_its_relation():
 
     replays()
     assert reached == {check.replay for check in CHECKS.values()}
+
+
+def test_cancellation_replays_refuse_a_witness_of_the_other_side():
+    # No rule breaks posc or negc, so random relations supply their witnesses.
+    # A posc witness names pros x and z and a con y; negc's replay, whose
+    # sides are swapped, must refuse it, and posc's must refuse a negc witness.
+    reached = set()
+
+    @deterministic
+    @given(relation_contexts())
+    def sides(ctx):
+        u = ctx.universe
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _swap_compare(monkeypatch, _oracle(ctx))
+            for name, other in (("posc", "negc"), ("negc", "posc")):
+                witness = CHECKS[name].verdict(Rule.LEXI, u, context=ctx).witness
+                if witness is not None:
+                    assert CHECKS[name].replay(Rule.LEXI, u, witness), name
+                    assert not CHECKS[other].replay(Rule.LEXI, u, witness), name
+                    reached.add(name)
+
+    sides()
+    assert reached == {"posc", "negc"}
+
+
+@pytest.mark.parametrize("name, args, replays", [
+    ("posc", ("x0", "x1", "x3"), True),
+    ("posc", ("x4", "x1", "x3"), False),  # x a con
+    ("posc", ("x0", "x4", "x3"), False),  # z a con
+    ("posc", ("x0", "x1", "x2"), False),  # y a pro
+    ("negc", ("x3", "x4", "x0"), True),
+    ("negc", ("x1", "x4", "x0"), False),  # x a pro
+    ("negc", ("x3", "x1", "x0"), False),  # z a pro
+    ("negc", ("x3", "x4", "x5"), False),  # y a con
+])
+def test_cancellation_replay_reads_each_side(monkeypatch, name, args, replays):
+    # Pros x0-x2, cons x3-x5.  Every pair is indifferent but distinct singletons,
+    # ranked by index, so every (x, z, y) with x ≠ z breaks cancellation as far
+    # as the relation goes, and only the sides of its arguments decide.
+    ctx = _context(64, 0b111000)
+    w = np.ones((64, 64), dtype=bool)
+    singles = 1 << np.arange(6)
+    w[np.ix_(singles, singles)] = np.triu(np.ones((6, 6), dtype=bool))
+    ctx._relations[Rule.LEXI] = RelationSet(w)
+    _swap_compare(monkeypatch, _oracle(ctx))
+    assert CHECKS[name].replay(Rule.LEXI, ctx.universe, Witness(args=args)) == replays
+
+
+@st.composite
+def exchange_instances(draw):
+    """A context from ``relation_contexts`` and one random instance of the
+    exchange checks: profiles A, B, C, D and arguments x, y by index.  Half
+    the draws keep A and B off the shifts, and half take D and y indifferent
+    to C and x where the relation has such, so that the guards often pass."""
+    ctx = draw(relation_contexts())
+    mask = st.integers(0, ctx.space.size - 1)
+    sym = ctx.rel(Rule.LEXI).sym
+    a, b, c = draw(mask), draw(mask), draw(mask)
+    i = draw(st.integers(0, ctx.space.n - 1))
+    partners = np.flatnonzero(sym[c]).tolist()
+    d = draw(st.sampled_from(partners) if partners and draw(st.booleans()) else mask)
+    singles = [j for j in range(ctx.space.n) if sym[1 << i, 1 << j]]
+    j = draw(st.sampled_from(singles) if singles and draw(st.booleans())
+             else st.integers(0, ctx.space.n - 1))
+    if draw(st.booleans()):
+        shifts = c | d | 1 << i | 1 << j
+        a, b = a & ~shifts, b & ~shifts
+    return ctx, a, b, c, d, i, j
+
+
+def test_exchange_replays_match_their_definitions():
+    # Each exchange replay, through an oracle of a random relation, must answer
+    # as the axiom's definition over the same cells, guards included, at any
+    # instance and not only at the sweep's witnesses; both answers occur.
+    reached = set()
+
+    @deterministic
+    @given(exchange_instances())
+    def replays(instance):
+        ctx, a, b, c, d, i, j = instance
+        w = ctx.rel(Rule.LEXI).weak
+        sym = w & w.T
+        x, y, names = 1 << i, 1 << j, ctx.space.names
+        defined = {
+            "sqc": (_witness(ctx, a, b, args=(names[i],)),
+                    sym[x, 0] and (w[a, b] != w[a | x, b] or w[a, b] != w[a, b | x])),
+            "prefindependence": (_witness(ctx, a, b, c),
+                                 not (a | b) & c and w[a, b] != w[a | c, b | c]),
+            "anonymity": (_witness(ctx, a, b, c, d),
+                          sym[c, d] and not a & (c | d)
+                          and (w[a | c, b] != w[a | d, b] or w[b, a | c] != w[b, a | d])),
+            "add_indifferent_set": (_witness(ctx, a, b, c),
+                                    sym[c, 0] and not a & c
+                                    and (w[a, b] != w[a | c, b] or w[b, a] != w[b, a | c])),
+            "swap_indifferent_sets": (_witness(ctx, a, b, c, d),
+                                      sym[c, d] and not (a | b) & (c | d)
+                                      and w[a, b] != w[a | c, b | d]),
+            "swap_indifferent_singletons": (_witness(ctx, a, b, args=(names[i], names[j])),
+                                            sym[x, y] and not a & x and not b & y
+                                            and w[a, b] != w[a | x, b | y]),
+        }
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _swap_compare(monkeypatch, _oracle(ctx))
+            for name, (witness, expected) in defined.items():
+                assert CHECKS[name].replay(Rule.LEXI, ctx.universe, witness) == expected, name
+                reached.add((name, bool(expected)))
+
+    replays()
+    assert reached == {(name, answer) for name in COROLLARIES + (
+        "sqc", "prefindependence", "anonymity") for answer in (True, False)}
 
 
 @pytest.mark.parametrize("u, v", [(u, v) for u in range(4) for v in range(4)])
