@@ -32,14 +32,16 @@ one ``take`` pass per axis (``_gather``).
 The exchange-type checks compare a relation on free profile pairs with the
 same relation on shifted ones.  ``xmonotony`` reads all its shifts in one
 grid.  The others (``sqc``, ``prefindependence``, ``anonymity`` and the
-three corollaries) list their shifts as plain data for one ``_shift_scan``:
-``(row_free, col_free, views, masks, args)``, where A ranges over the
-submasks of ``row_free``, B over those of ``col_free``, each view ``(r, c)``
-reads the pair (A | r, B | c), and the witness is (A, B, *masks) with
-``args``.  ``prefindependence`` shifts by single arguments and ``anonymity``
-reads each indifferent pair once; their comments say why no witness changes.
-Their replays, after their guards, make one ``_shifted`` call: whether
-some view reads (A ∪ R, B ∪ C) unlike the first, through ``compare`` alone.
+three corollaries) state a shift in the axiom's own terms, on both sides:
+its views (R, C) and the sets that A and B must avoid, read by one question,
+whether some view reads (A ∪ R, B ∪ C) unlike the first.  A sweep lists its
+shifts as plain data ``(row_out, col_out, views, masks, args)`` for one
+``_shift_scan``, which asks it over every A that avoids ``row_out`` and B that
+avoids ``col_out``; the witness is (A, B, *masks) with ``args``.  A replay,
+after its ``_sym`` guard, asks it once through ``_shifted``, with the same
+sets as ``avoid``, through ``compare`` alone.  ``prefindependence`` shifts by
+single arguments and ``anonymity`` reads each indifferent pair once; their
+comments say why no witness changes.
 Single-argument facts (the ground relation, x ~ ∅, x′ ≽ x, x ~ y) have one
 reader, ``_ground``: the pair code at the singletons and the empty profile.
 
@@ -52,7 +54,7 @@ whole weak, strict, symmetric or incomparable part builds it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -170,20 +172,22 @@ def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
     return values.take(rows, axis=0).take(cols, axis=1)
 
 
-def _shift_scan(ctx: AuditContext, values: np.ndarray, shifts, differ) -> Witness | None:
-    """Witness at the first shift, then the first (A, B) row-major, that ``differ`` flags.
+def _shift_scan(ctx: AuditContext, values: np.ndarray, shifts) -> Witness | None:
+    """Witness at the first shift, then the first (A, B) row-major, where some
+    view reads unlike the first: ``_shifted``'s question, over the whole grid.
 
-    ``values`` is a relation matrix.  A shift is ``(row_free, col_free,
-    views, masks, args)``: A ranges over the submasks of ``row_free`` and B
-    over those of ``col_free``, both ascending; each view ``(r, c)``
-    gathers the pair (A | r, B | c), and ``differ`` maps the views to a
-    (rows, cols) mask.  The witness is (A, B, *masks) with ``args``.  Each
-    free set is selected once per scan, however many shifts share it.
+    ``values`` is a relation matrix.  A shift is ``(row_out, col_out, views,
+    masks, args)``: A ranges over the profiles that avoid ``row_out`` and B
+    over those that avoid ``col_out``, both ascending, and each view ``(r, c)``
+    gathers the pair (A | r, B | c).  The witness is (A, B, *masks) with
+    ``args``.  Each set is selected once per scan, however many shifts avoid it.
     """
-    select = cache(ctx.space.submasks)
-    for row_free, col_free, views, masks, args in shifts:
-        rows, cols = select(row_free), select(col_free)
-        hit = _first(differ(*(_gather(values, rows | r, cols | c) for r, c in views)))
+    space = ctx.space
+    select = cache(lambda out: space.submasks(space.full_mask & ~out))
+    for row_out, col_out, views, masks, args in shifts:
+        rows, cols = select(row_out), select(col_out)
+        first, *rest = (_gather(values, rows | r, cols | c) for r, c in views)
+        hit = _first(reduce(np.logical_or, (view != first for view in rest)))
         if hit:
             return _witness(ctx, rows[hit[0]], cols[hit[1]], *masks, args=args)
     return None
@@ -213,10 +217,10 @@ def _check_ca(ctx: AuditContext, rule: Rule):
 
 def _check_sqc(ctx: AuditContext, rule: Rule):
     # Shifts: the arguments the rule itself deems worthless, by index.
-    full, names = ctx.space.full_mask, ctx.space.names
-    shifts = ((full, full, ((0, 0), (1 << i, 0), (0, 1 << i)), (), (names[i],))
+    names = ctx.space.names
+    shifts = ((0, 0, ((0, 0), (1 << i, 0), (0, 1 << i)), (), (names[i],))
               for i in np.flatnonzero(_ground(ctx, rule)[:-1, -1] == 3).tolist())
-    return _shift_scan(ctx, ctx.rel(rule).weak, shifts, lambda v, r, c: (v != r) | (v != c))
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts)
 
 
 def _monotony_scan(ctx, weak, side, *, positive: bool):
@@ -409,10 +413,8 @@ def _check_prefindependence(ctx, rule):
     # Shifts: C = {x}, x by index; A and B are disjoint from C.  If any C breaks
     # (A, B), add its arguments one at a time: some step x changes ``weak``, so
     # {x} breaks too and 1 << x <= C.  So the first C that breaks is a single x.
-    full = ctx.space.full_mask
-    shifts = ((full & ~c, full & ~c, ((0, 0), (c, c)), (c,), ())
-              for c in (1 << i for i in range(ctx.space.n)))
-    return _shift_scan(ctx, ctx.rel(rule).weak, shifts, np.not_equal)
+    shifts = ((c, c, ((0, 0), (c, c)), (c,), ()) for c in (1 << i for i in range(ctx.space.n)))
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts)
 
 
 def _check_completeness(ctx, rule):
@@ -449,10 +451,9 @@ def _check_anonymity(ctx, rule):
     # Shifts: (C, D) row-major over indifferent pairs with C < D; A is disjoint
     # from both.  (D, C) comes later and gives the same grid, its views swapped.
     rel = ctx.rel(rule)
-    full = ctx.space.full_mask
-    shifts = ((full & ~(c | d), full, ((c, 0), (d, 0)), (c, d), ())
+    shifts = ((c | d, 0, ((c, 0), (d, 0)), (c, d), ())
               for c, d in _indifferent_pairs(rel) if c < d)
-    return _shift_scan(ctx, rel.code, shifts, np.not_equal)
+    return _shift_scan(ctx, rel.code, shifts)
 
 
 def _check_reflexive(ctx, rule):
@@ -491,32 +492,27 @@ def _check_add_indifferent_set(ctx, rule):
     # Adding C with C ~ empty, C disjoint from A, must not disturb A's comparisons.
     # Shifts: C ascending.
     rel = ctx.rel(rule)
-    full = ctx.space.full_mask
-    shifts = ((full & ~c, full, ((0, 0), (c, 0)), (c,), ())
+    shifts = ((c, 0, ((0, 0), (c, 0)), (c,), ())
               for c in range(1, ctx.space.size) if rel.code[c, 0] == 3)
-    return _shift_scan(ctx, rel.code, shifts, np.not_equal)
+    return _shift_scan(ctx, rel.code, shifts)
 
 
 def _check_swap_indifferent_sets(ctx, rule):
     # Swapping C ~ D across the two sides, both disjoint from A and B.
     # Shifts: (C, D) row-major over indifferent pairs.
     rel = ctx.rel(rule)
-    full = ctx.space.full_mask
-    shifts = ((full & ~(c | d), full & ~(c | d), ((0, 0), (c, d)), (c, d), ())
-              for c, d in _indifferent_pairs(rel))
-    return _shift_scan(ctx, rel.weak, shifts, np.not_equal)
+    shifts = ((c | d, c | d, ((0, 0), (c, d)), (c, d), ()) for c, d in _indifferent_pairs(rel))
+    return _shift_scan(ctx, rel.weak, shifts)
 
 
 def _check_swap_indifferent_singletons(ctx, rule):
     # Swapping single arguments x ~ y; x may already sit in B, y in A.
     # Shifts: (x, y) by argument index.
     ground = _ground(ctx, rule)
-    space = ctx.space
-    full = space.full_mask
-    shifts = ((full & ~(1 << i), full & ~(1 << j), ((0, 0), (1 << i, 1 << j)), (), (x, y))
-              for i, x in enumerate(space.names) for j, y in enumerate(space.names)
-              if ground[i, j] == 3)
-    return _shift_scan(ctx, ctx.rel(rule).weak, shifts, np.not_equal)
+    names = ctx.space.names
+    shifts = ((1 << i, 1 << j, ((0, 0), (1 << i, 1 << j)), (), (x, y))
+              for i, x in enumerate(names) for j, y in enumerate(names) if ground[i, j] == 3)
+    return _shift_scan(ctx, ctx.rel(rule).weak, shifts)
 
 
 def _agreement(build, note, ctx, rule):
@@ -543,8 +539,11 @@ def _sym(rule, a, b) -> bool:
 _PARTS = {"weak": _weak, "strict": _strict, "sym": _sym}
 
 
-def _shifted(rule, a, b, views, read=_weak) -> bool:
-    """Whether some view (R, C) reads (A ∪ R, B ∪ C) unlike the first view does."""
+def _shifted(rule, a, b, views, avoid=((), ()), read=_weak) -> bool:
+    """Whether A avoids the names ``avoid[0]``, B avoids ``avoid[1]``, and some
+    view (R, C) reads (A ∪ R, B ∪ C) unlike the first view does."""
+    if not (a.members.isdisjoint(avoid[0]) and b.members.isdisjoint(avoid[1])):
+        return False
     first, *rest = (read(rule, a.union(r), b.union(c)) for r, c in views)
     return any(value != first for value in rest)
 
@@ -641,9 +640,7 @@ def _replay_efficiency(rule, u, w, *, positive: bool):
 
 def _replay_prefindependence(rule, u, w):
     a, b, c = (u.option(p) for p in w.profiles)
-    if (a.members | b.members) & c.members:
-        return False
-    return _shifted(rule, a, b, ((u.empty, u.empty), (c, c)))
+    return _shifted(rule, a, b, ((u.empty, u.empty), (c, c)), (c.members, c.members))
 
 
 def _replay_completeness(rule, u, w):
@@ -666,10 +663,9 @@ def _replay_simplegrounding(rule, u, w):
 
 def _replay_anonymity(rule, u, w):
     a, b, c, d = (u.option(p) for p in w.profiles)
-    if a.members & (c.members | d.members) or not _sym(rule, c, d):
-        return False
     # The sweep reads pair codes: one outcome holds both directions.
-    return _shifted(rule, a, b, ((c, u.empty), (d, u.empty)), read=compare)
+    return _sym(rule, c, d) and _shifted(rule, a, b, ((c, u.empty), (d, u.empty)),
+                                         (c.members | d.members, ()), read=compare)
 
 
 def _replay_reflexive(rule, u, w):
@@ -692,17 +688,15 @@ def _replay_unbiased_ground(rule, u, w):
 
 def _replay_swap_indifferent_sets(rule, u, w):
     a, b, c, d = (u.option(p) for p in w.profiles)
-    if (a.members | b.members) & (c.members | d.members) or not _sym(rule, c, d):
-        return False
-    return _shifted(rule, a, b, ((u.empty, u.empty), (c, d)))
+    both = c.members | d.members
+    return _sym(rule, c, d) and _shifted(rule, a, b, ((u.empty, u.empty), (c, d)), (both, both))
 
 
 def _replay_swap_indifferent_singletons(rule, u, w):
     a, b = (u.option(p) for p in w.profiles)
     x, y = (u.option({name}) for name in w.args)
-    if w.args[0] in a.members or w.args[1] in b.members or not _sym(rule, x, y):
-        return False
-    return _shifted(rule, a, b, ((u.empty, u.empty), (x, y)))
+    return _sym(rule, x, y) and _shifted(rule, a, b, ((u.empty, u.empty), (x, y)),
+                                         (x.members, y.members))
 
 
 def _replay_agreement(route, rule, u, w):

@@ -51,7 +51,6 @@ from proscons.audit.axioms import (
     _XMONOTONY_BREAKS,
     _combination_scan,
     _monotony_scan,
-    _shift_scan,
     _subset_matrices,
     _union_closed,
 )
@@ -600,14 +599,22 @@ def _near_closed(rng, size, count=8):
 
 
 def _xmonotony_by_shift(ctx, rule):
-    # The per-shift scan the stacked grid replaced: one ``_shift_scan`` shift per
-    # (x, x') by argument index, x ≠ x' and x' ≽ x.
-    rel, space = ctx.rel(rule), ctx.space
-    full = space.full_mask
-    shifts = ((full & ~(1 << i | 1 << j), full, ((1 << i, 0), (1 << j, 0)), (), (x, xp))
-              for i, x in enumerate(space.names) for j, xp in enumerate(space.names)
-              if i != j and rel.code[1 << j, 1 << i] & 1)
-    return _shift_scan(ctx, rel.code, shifts, lambda u, v: _XMONOTONY_BREAKS[u, v])
+    # The per-shift scan the stacked grid replaced: (x, x') by argument index,
+    # x ≠ x' and x' ≽ x; then A ascending over the profiles without x or x';
+    # then the first B that breaks, over every profile.
+    code, space = ctx.rel(rule).code, ctx.space
+    for i, x in enumerate(space.names):
+        for j, xp in enumerate(space.names):
+            if i == j or not code[1 << j, 1 << i] & 1:
+                continue
+            for a in range(space.size):
+                if a & (1 << i | 1 << j):
+                    continue
+                breaks = _XMONOTONY_BREAKS[code[a | 1 << i], code[a | 1 << j]]
+                if breaks.any():
+                    b = int(np.argmax(breaks))
+                    return Witness((space.members(a), space.members(b)), (x, xp))
+    return None
 
 
 class TestClosureKernels:
@@ -641,10 +648,10 @@ class TestClosureKernels:
                     failures += found is not None
         assert failures == 726
 
-    def test_union_kernel_is_exact_at_the_tuple_bound(self):
+    @staticmethod
+    def _assert_union_kernel_exact(size):
         # The float64 subset-matrix products equal the int64 per-bit transforms
-        # on 64-square bases, the largest any float-kernel check may see.
-        size = 1 << TUPLE_BOUND
+        # on all-ones, all-zeros and near-closed bases, closed and not.
         zeta, mobius = _subset_matrices(size)
         closed_seen = set()
         bases = (np.ones((size, size), bool), np.zeros((size, size), bool),
@@ -658,6 +665,15 @@ class TestClosureKernels:
             assert _union_closed(base) == closed
             closed_seen.add(closed)
         assert closed_seen == {True, False}
+
+    def test_union_kernel_is_exact_at_the_tuple_bound(self):
+        # 64-square bases, the largest any float-kernel check may see.
+        self._assert_union_kernel_exact(1 << TUPLE_BOUND)
+
+    def test_union_kernel_is_exact_on_256_square_bases(self):
+        # 8 arguments: the all-ones count peaks at 3^16, and every partial sum
+        # stays below 2^48 < 2^53, so a bound of 8 would keep the kernel exact.
+        self._assert_union_kernel_exact(1 << 8)
 
     def test_float_kernel_checks_stay_within_the_exact_bound(self):
         # Raising a bound past TUPLE_BOUND would take the float products past
