@@ -73,7 +73,7 @@ from .matrices import (
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
 
 _PAIR_BLOCK = 512
-_ROW_BLOCK = 256  # rows of the (A, B) grid a blocked pairwise scan reads at once
+_ROW_BLOCK = 256  # rows of the (A, B) grid the weak-unanimity scan reads at once
 
 
 @dataclass(frozen=True)
@@ -391,22 +391,19 @@ def _combination(ctx, rule, *, part: str):
 
 
 def _efficiency(ctx, rule, *, positive: bool):
-    # Witness order: A ascending, then the first B ⊆ A.  A ∖ B ≻ ∅ must give
-    # A ≻ B, code 1 at (A, B); ∅ ≻ A ∖ B must give B ≻ A, code 2 at (A, B).
-    # The A of a block differ only in their low bits, so each B is a submask of the last A.
+    # B ⊆ A: each argument lies outside A, in A ∖ B or in B, so the 3^n pairs
+    # grow by one concatenation per argument.  A ∖ B ≻ ∅ must give A ≻ B,
+    # code 1 at (A, B); ∅ ≻ A ∖ B must give B ≻ A, code 2.
     code = ctx.rel(rule).code
-    surplus_strict = code[:, 0] == 1 if positive else code[0, :] == 1
-    kept = 1 if positive else 2
-    for start in range(0, ctx.space.size, _ROW_BLOCK):
-        a = ctx.space.masks[start : start + _ROW_BLOCK, None]
-        b = ctx.space.submasks(start | (_ROW_BLOCK - 1))
-        viol = (b & ~a) == 0  # B ⊆ A
-        viol &= surplus_strict[a ^ b]
-        viol &= code[start : start + _ROW_BLOCK].take(b, axis=1) != kept
-        hit = _first(viol)
-        if hit:
-            return _witness(ctx, start + hit[0], b[hit[1]])
-    return None
+    a = b = np.zeros(1, dtype=np.int32)
+    for bit in (1 << i for i in range(ctx.space.n)):
+        a, b = np.concatenate((a, a | bit, a | bit)), np.concatenate((b, b, b | bit))
+    surplus = code[a ^ b, 0] if positive else code[0, a ^ b]
+    viol = (surplus == 1) & (code[a, b] != (1 if positive else 2))
+    a, b = a[viol], b[viol]
+    # The witness is the least A, then its least B: two minima, not the least
+    # key A << n | B, so no bound on n keeps such a key within int32.
+    return _witness(ctx, a.min(), b[a == a.min()].min()) if a.size else None
 
 
 def _check_prefindependence(ctx, rule):

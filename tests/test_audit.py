@@ -93,6 +93,10 @@ class TestEnumeration:
         with pytest.raises(UniverseTooLargeError):
             enumerate_profiles(u)
 
+    def test_sweep_needs_a_level_past_the_null_one(self):
+        with pytest.raises(ValueError, match=r"^need at least two levels \(null plus one\)$"):
+            next(iter_universes(3, 1))
+
     def test_sweep_is_canonical_and_valid(self):
         seen = set()
         for u in iter_universes(3, 3):
@@ -289,6 +293,17 @@ class TestCheckAxiom:
         assert check_axiom(Axiom.POS_EFFICIENCY, Rule.BIPOSS, twin, context=ctx) == (
             check_axiom(Axiom.POS_EFFICIENCY, Rule.BIPOSS, luka.universe)
         )
+
+    @pytest.mark.parametrize("holds, witness", [(True, Witness()), (False, None)])
+    def test_verdict_fails_exactly_with_a_witness(self, holds, witness):
+        with pytest.raises(ValueError, match="^a verdict fails exactly when it carries a witness$"):
+            AuditVerdict("ca", Rule.LEXI, holds, witness)
+
+    def test_a_verdict_that_holds_has_nothing_to_replay(self, luc):
+        verdict = check_axiom(Axiom.CA, Rule.BIPOSS, luc.universe)
+        assert verdict.holds
+        with pytest.raises(ValueError, match="^only failed verdicts carry a witness to replay$"):
+            replay_witness(verdict, luc.universe)
 
     def test_deterministic_witness(self, lucy):
         first = check_axiom(Axiom.COMPLETENESS, Rule.PARETO, lucy.universe)

@@ -549,7 +549,8 @@ class TestTtb:
         assert code == 1
         assert "distinct importance" in err
 
-    def test_injective_instance_coincides(self, capsys, tmp_path):
+    @staticmethod
+    def cue_doc(tmp_path):
         doc = {
             "scale": ["zero", "one", "two", "three"],
             "arguments": [
@@ -561,12 +562,18 @@ class TestTtb:
         }
         path = tmp_path / "cues.json"
         path.write_text(json.dumps(doc))
-        code, payload, _ = run_json(capsys, "ttb", str(path), "one", "two")
+        return str(path)
+
+    def test_injective_instance_coincides(self, capsys, tmp_path):
+        code, payload, _ = run_json(capsys, "ttb", self.cue_doc(tmp_path), "one", "two")
         assert code == 0
         assert payload["outcome"] == "PreferFirst"
         assert payload["coincide"]
         assert set(payload["agreement"].values()) == {"PreferFirst"}
 
+    def test_quiet_prints_only_the_outcome(self, capsys, tmp_path):
+        assert run(capsys, "ttb", self.cue_doc(tmp_path), "one", "two", "--quiet") == (
+            0, "PreferFirst\n", "")
 
     @pytest.mark.parametrize(
         "options, fragment",

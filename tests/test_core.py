@@ -43,6 +43,12 @@ class TestScale:
         with pytest.raises(UnknownLevelError):
             scale.index("two")
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_label_outside_the_scale(self, index):
+        scale = ImportanceScale(("zero", "one"))
+        with pytest.raises(UnknownLevelError, match=f"^level index {index} outside the scale$"):
+            scale.label(index)
+
 
 class TestUniverse:
     def test_duplicate_name_rejected(self):
@@ -52,6 +58,10 @@ class TestUniverse:
     def test_level_must_fit_scale(self):
         with pytest.raises(UnknownLevelError):
             make_universe(2, [("x", "pro", 5)])
+
+    def test_negative_level_refused(self):
+        with pytest.raises(UnknownLevelError, match="^negative level for argument 'x'$"):
+            Argument("x", Polarity.PRO, -1)
 
     def test_null_argument_ignores_declared_polarity(self):
         u = make_universe(2, [("x", "pro", 0), ("y", "con", 0), ("z", "pro", 1)])

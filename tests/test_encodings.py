@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from proscons import (
+    CueCompletionError,
     MixedPolarityError,
     NonInjectiveImportanceError,
     Outcome,
@@ -212,6 +213,12 @@ class TestCompletion:
                 luc.universe,
                 {name: p.members for name, p in luc.options.items()},
             )
+
+    def test_unknown_cue_rejected(self):
+        u = make_universe(3, [("c1", "pro", 2), ("c2", "pro", 1)])
+        with pytest.raises(CueCompletionError,
+                           match="^option references unknown argument 'ghost'$"):
+            complete_polar_opposites(u, {"one": {"c1"}, "two": {"ghost"}})
 
     def test_con_cues_rejected(self, lucy):
         with pytest.raises(ValueError):

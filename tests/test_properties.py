@@ -9,8 +9,11 @@ The closure kernels, the shift-scan, ground, cancellation, union and
 pairwise checks are held to their definitions on random relations, which
 break the axioms far more often than the rules do, and every check's replay
 to its sweep's witnesses; the profile space is held to the scalar profiles,
-and every rule's weak matrix to its scalar rule.
+and every rule's weak matrix to its scalar rule.  The two theorem bundles
+are sampled through their replays on seeded universes of 13 to 40 arguments.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -54,7 +57,8 @@ from proscons.audit.axioms import (
     _witness,
 )
 from proscons.audit.matrices import RelationSet, weak_matrix
-from proscons.audit.reports import REFINEMENT_CHAIN
+from proscons.audit.reports import REFINEMENT_CHAIN, theorem1_bundle, theorem2_bundle
+from proscons.rules import EMPTY_LABEL
 
 MAX_ARGS = 60
 MAX_LEVELS = 30
@@ -852,11 +856,12 @@ def test_pairwise_checks_find_their_witness_past_the_first_row_block(seed):
 
 @pytest.mark.parametrize("positive", [True, False])
 def test_efficiency_witness_in_a_later_column_tile(positive):
-    # 10 arguments; the block of A from 512 to 767 reads as B only the
-    # submasks of 767 (0-255, then 512-767).  {x0} ≻ ∅ and A ≻ A ∖ {x0} for
-    # every odd A below 513, all else tied (transposed for the negative
-    # check), so the first witness is (513, 512): B sits 256 columns into
-    # its block.
+    # 10 arguments.  {x0} ≻ ∅ and A ≻ A ∖ {x0} for every odd A below 513,
+    # all else tied (transposed for the negative check).  So the 256 pairs
+    # with surplus {x0} below A = 513 all hold, and the first witness is
+    # (513, 512): the top argument lies in B, and B is the last proper
+    # submask of A.  A check that reads B only low in A's submasks, or that
+    # names a later failing pair, misses it.
     size = 1024
     ctx = _context(size)
     w = np.ones((size, size), dtype=bool)
@@ -875,3 +880,107 @@ def test_efficiency_witness_in_a_later_column_tile(positive):
     name = "posefficiency" if positive else "negefficiency"
     found = CHECKS[name].verdict(Rule.LEXI, ctx.universe, context=ctx).witness
     assert found == _witness(ctx, 513, 512)
+
+
+# ---------------------------------------------------------------------------
+# The bundles past the exhaustive bounds, sampled through the replays
+# ---------------------------------------------------------------------------
+# A replay returns True exactly on a violating instance, at any instance (the
+# definition tests above hold it to that), so a drawn instance shaped like a
+# check's witness tests the check's axiom at any size.  The draws come from a
+# seeded ``random.Random``, not from Hypothesis, so that which rules are
+# caught cannot change with Hypothesis's example stream.
+
+def _sampled_universe(rng):
+    """13 to 40 arguments on 3 to 12 levels, about one in ten on the null level."""
+    levels = rng.randint(3, 12)
+    scale = ImportanceScale(tuple(f"l{i}" for i in range(levels)))
+    args = tuple(
+        Argument(f"x{k}", rng.choice((Polarity.PRO, Polarity.CON)),
+                 0 if rng.random() < 0.1 else rng.randint(1, levels - 1))
+        for k in range(rng.randint(13, 40))
+    )
+    return DecisionUniverse(scale, args)
+
+
+def _sampled_sets(rng, k, names):
+    """``k`` random subsets of ``names``, each of density 0.05, 0.15 or 0.5."""
+    out = []
+    for _ in range(k):
+        density = rng.choice((0.05, 0.15, 0.5))
+        out.append(frozenset(name for name in names if rng.random() < density))
+    return out
+
+
+def _sampled_instance(rng, u, check):
+    """An instance shaped like ``check``'s witness, drawn to meet its replay's
+    guards (sides, disjointness, distinct arguments), or None if ``u`` has none."""
+    names = [a.name for a in u.arguments]
+    if check in ("posmonotony", "negmonotony"):
+        side = sorted(u.pros if check == "posmonotony" else u.cons)
+        return Witness((*_sampled_sets(rng, 2, names), *_sampled_sets(rng, 2, side)))
+    if check in ("gneg", "gclo"):
+        a, b, c, d = _sampled_sets(rng, 4, names)
+        # Half the draws take a shape the exhaustive sweeps' witnesses take,
+        # C = B and D = B ∖ A; fully random quadruples seldom break a rule.
+        return Witness((a, b, b, b - a) if rng.random() < 0.5 else (a, b, c, d))
+    if check == "simplegrounding":
+        note = rng.choice(("ground", "xmonotony", "posc", "negc"))
+        inner = Witness() if note == "ground" else _sampled_instance(rng, u, note)
+        return None if inner is None else Witness(inner.profiles, inner.args, note)
+    if check == "xmonotony":
+        x, xp = rng.sample(names, 2)
+        a, b = _sampled_sets(rng, 2, names)
+        return Witness((a - {x, xp}, b), (x, xp))
+    if check in ("posc", "negc"):
+        same, other = (u.pros, u.cons) if check == "posc" else (u.cons, u.pros)
+        if len(same) < 2 or not other:
+            return None
+        return Witness(args=(*rng.sample(sorted(same), 2), rng.choice(sorted(other))))
+    if check == "ca":
+        return Witness(args=(rng.choice(names),))
+    if check == "sqc":
+        return Witness(tuple(_sampled_sets(rng, 2, names)), (rng.choice(names),))
+    if check == "unbiased_ground":
+        return Witness(args=tuple(rng.sample([*names, EMPTY_LABEL], 2)))
+    if check == "swap_indifferent_singletons":
+        x, y = rng.sample(names, 2)
+        a, b = _sampled_sets(rng, 2, names)
+        return Witness((a - {x}, b - {y}), (x, y))
+    if check in ("prefindependence", "add_indifferent_set", "swap_indifferent_sets"):
+        shift = _sampled_sets(rng, 2 if check == "swap_indifferent_sets" else 1, names)
+        out = frozenset().union(*shift)
+        a, b = _sampled_sets(rng, 2, [n for n in names if n not in out])
+        if check == "add_indifferent_set":
+            b |= _sampled_sets(rng, 1, sorted(out))[0]  # only A must avoid C
+        return Witness((a, b, *shift))
+    # reflexive, the transitivity family and the plain pairwise checks: sets only.
+    k = {"reflexive": 1, "quasitransitivity": 3, "transitivity": 3}.get(check, 2)
+    return Witness(tuple(_sampled_sets(rng, k, names)))
+
+
+@pytest.mark.parametrize("bundle, extra", [(theorem1_bundle, ()), (theorem2_bundle, COROLLARIES)],
+                         ids=["theorem1", "theorem2+corollaries"])
+def test_sampled_bundles_single_out_their_rule_past_the_bounds(bundle, extra):
+    # The designated rule replays no violation, of its bundle or of ``extra``
+    # (the exchange corollaries, for lexi); every other rule replays a violation
+    # of the bundle somewhere, as ``sweep_bundle`` judges the exhaustive case.
+    rng = random.Random(1)
+    uncaught = set(Rule) - {bundle.designated}
+    violations = []
+    for _ in range(60):
+        u = _sampled_universe(rng)
+        for check in bundle.checks + extra:
+            rules = [rule for rule in Rule if rule is bundle.designated
+                     or (rule in uncaught and check in bundle.checks)]
+            for _ in range(12):
+                witness = _sampled_instance(rng, u, check)
+                if witness is None:
+                    continue
+                for rule in rules:
+                    if CHECKS[check].replay(rule, u, witness):
+                        if rule is bundle.designated:
+                            violations.append((check, u, witness))
+                        uncaught.discard(rule)
+    assert violations == []
+    assert uncaught == set()
