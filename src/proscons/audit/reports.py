@@ -22,7 +22,7 @@ from ..core import DecisionUniverse, ProblemError
 from ..rules import Rule
 from .axioms import CHECKS, COROLLARIES, ENCODINGS, Axiom, AuditVerdict, Witness, refinement_name
 from .matrices import AuditContext, admit, context_for
-from .space import LEVEL_BOUND, UniverseTooLargeError, iter_universes
+from .space import LEVEL_BOUND, UniverseTooLargeError, generated_scale, iter_universes
 
 
 class NoWitnessFoundError(ProblemError):
@@ -320,7 +320,10 @@ class SweepFinding:
 def sweep_range(plan: Plan, max_args: int, levels: int) -> Iterator[DecisionUniverse]:
     """The range's universes, after refusing one that is empty or over a bound.
 
-    A refused range must not pass for a sweep that found nothing.
+    A refused range must not pass for a sweep that found nothing.  The rules
+    read levels by rank, so a sweep checks one universe per class up to
+    relabelling the levels in order: the gap-free one (occupied levels 0..k,
+    k <= max_args), first of its class in ``iter_universes`` order.
     """
     if levels < 2:
         raise EmptySweepError(
@@ -335,7 +338,12 @@ def sweep_range(plan: Plan, max_args: int, levels: int) -> Iterator[DecisionUniv
         raise UniverseTooLargeError(
             f"sweep reaches {max_args} arguments, enumeration bound is {bound}"
         )
-    return iter_universes(max_args, levels)
+    scale = generated_scale(levels)
+    return (
+        DecisionUniverse(scale, u.arguments)
+        for u in iter_universes(max_args, min(levels, max_args + 1))
+        if u.occupied[-1] == len(u.occupied) - 1
+    )
 
 
 def sweep(

@@ -108,6 +108,11 @@ def enumerate_profiles(universe: DecisionUniverse) -> list[OptionProfile]:
 # Universe sweeps
 # ---------------------------------------------------------------------------
 
+def generated_scale(num_levels: int) -> ImportanceScale:
+    """The scale ``l0, l1, ...`` that every generated universe sits on."""
+    return ImportanceScale(tuple(f"l{i}" for i in range(num_levels)))
+
+
 def iter_universes(max_args: int, num_levels: int) -> Iterator[DecisionUniverse]:
     """All valid universes up to the given size, deduplicated up to renaming.
 
@@ -115,11 +120,12 @@ def iter_universes(max_args: int, num_levels: int) -> Iterator[DecisionUniverse]
     arguments sit in each (polarity, level) class; null-level arguments
     form a single class since their declared polarity is ignored.
     Universes whose arguments are all null are skipped (they are trivial
-    and rejected by validation).
+    and rejected by validation).  A sweep (``reports.sweep_range``) takes
+    only the gap-free subsequence, whose occupied levels are 0..k.
     """
     if num_levels < 2:
         raise ValueError("need at least two levels (null plus one)")
-    scale = ImportanceScale(tuple(f"l{i}" for i in range(num_levels)))
+    scale = generated_scale(num_levels)
 
     classes: list[tuple[str, Polarity, int]] = [("z0", Polarity.PRO, 0)]
     for level in range(1, num_levels):

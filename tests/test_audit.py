@@ -43,6 +43,7 @@ from proscons.audit import (
     relation_properties,
     replay_witness,
     sweep,
+    sweep_range,
     theorem1_bundle,
     theorem2_bundle,
     weak_matrix,
@@ -181,6 +182,18 @@ def spread_out(u: DecisionUniverse) -> DecisionUniverse:
     )
 
 
+def gap_free(u: DecisionUniverse) -> bool:
+    """Are the occupied levels 0..k, with none skipped?"""
+    return u.occupied[-1] == len(u.occupied) - 1
+
+
+def closed_gaps(u: DecisionUniverse) -> DecisionUniverse:
+    """``u`` with each argument moved to its rank, names kept: the gap-free one of its class."""
+    return DecisionUniverse(
+        u.scale, tuple(replace(a, level=u.ranks[a.name]) for a in u.arguments)
+    )
+
+
 class TestScaleLength:
     """Only the order of the occupied levels reaches the profile space and its matrices."""
 
@@ -190,6 +203,15 @@ class TestScaleLength:
     def test_every_verdict_is_the_same_on_a_spread_scale(self, u):
         label = " ".join(a.name for a in u.arguments)
         assert registry_record(label, spread_out(u)) == REGISTRY_GOLDEN[label]
+
+    @pytest.mark.parametrize("u", [
+        pytest.param(u, id=f"L{levels} " + " ".join(a.name for a in u.arguments))
+        for levels in (3, 4) for u in iter_universes(3, levels) if not gap_free(u)
+    ])
+    def test_every_verdict_is_the_same_with_the_gaps_closed(self, u):
+        # What lets a sweep check only the gap-free universe of each class.
+        label = " ".join(a.name for a in u.arguments)
+        assert registry_record(label, closed_gaps(u)) == registry_record(label, u)
 
     def test_relation_build_memory_does_not_follow_the_scale(self):
         # Ten arguments on the longest admitted scale: the bound admits the
@@ -826,3 +848,36 @@ class TestSweep:
         count, findings = sweep(PROPOSITIONS, [u])
         assert count == 1
         assert findings == dict.fromkeys(proposition_checks(u))
+
+
+class TestSweepRange:
+    """A sweep checks one universe per class up to relabelling the levels in order."""
+
+    RANGES = ((3, 3), (4, 4), (6, 3), (2, 40))
+
+    @staticmethod
+    def kind(u: DecisionUniverse) -> tuple:
+        return tuple(sorted((a.polarity.value, a.level) for a in u.arguments))
+
+    @pytest.mark.parametrize("max_args, levels", RANGES)
+    def test_sweeps_the_gap_free_universes_in_canonical_order(self, max_args, levels):
+        universes = list(iter_universes(max_args, levels))
+        swept = list(sweep_range(PROPOSITIONS, max_args, levels))
+        assert swept == [u for u in universes if gap_free(u)]
+        # Each class's gap-free universe comes first, so each first failure stays.
+        order = {self.kind(u): i for i, u in enumerate(universes)}
+        for i, u in enumerate(universes):
+            assert order[self.kind(closed_gaps(u))] <= i
+
+    def test_enumerates_no_level_past_the_arguments(self, monkeypatch):
+        calls = []
+
+        def spy(max_args, levels):
+            calls.append((max_args, levels))
+            assert levels <= max_args + 1, "no more levels than the arguments can occupy"
+            return iter_universes(max_args, levels)
+
+        monkeypatch.setattr(proscons.audit.reports, "iter_universes", spy)
+        for max_args, levels in (*self.RANGES, (3, LEVEL_BOUND)):
+            assert all(len(u.scale) == levels for u in sweep_range(PROPOSITIONS, max_args, levels))
+        assert calls == [(3, 3), (4, 4), (6, 3), (2, 3), (3, 4)]

@@ -328,6 +328,13 @@ class TestAudit:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_generated_sweep_is_the_same_on_any_longer_scale(self, capsys):
+        # Three arguments occupy at most four levels; a sweep reads no more.
+        argv = ("--bundle", "theorem1", "--rule", "all")
+        short = run(capsys, "audit", "--generate", "|X|=3,|L|=4", *argv)
+        assert short[0] == 0 and len(short[1].splitlines()) == 6
+        assert run(capsys, "audit", "--generate", f"|X|=3,|L|={LEVEL_BOUND}", *argv) == short
+
     def test_trivial_universe_hard_error(self, capsys, tmp_path):
         doc = {
             "scale": ["zero", "one"],
