@@ -69,11 +69,9 @@ from .matrices import (
     context_for,
     impl_cases_weak,
     np_weak_matrix,
+    row_blocks,
 )
 from .space import PAIRWISE_BOUND, TUPLE_BOUND
-
-_PAIR_BLOCK = 512
-_ROW_BLOCK = 256  # rows of the (A, B) grid the weak-unanimity scan reads at once
 
 
 @dataclass(frozen=True)
@@ -260,14 +258,13 @@ def _check_weakunanimity(ctx, rule):
         subs, proj = space.submasks(side), space.masks & side
         rows = (_gather(code, subs, proj) & 1).view(bool)
         sides.append((rows, np.searchsorted(subs, proj)))
-    for start in range(0, space.size, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
+    for block in row_blocks(space.size):
         viol = (code[block] & 1) == 0
         for rows, at in sides:
             viol &= rows.take(at[block], axis=0)
         hit = _first(viol)
         if hit:
-            return _witness(ctx, start + hit[0], hit[1])
+            return _witness(ctx, block.start + hit[0], hit[1])
     return None
 
 
@@ -375,12 +372,12 @@ def _combination_scan(ctx, base):
     # the first violating row's first partner never lies before it.
     pairs = np.argwhere(base).astype(np.int32)
     a, b = pairs[:, 0], pairs[:, 1]
-    for start in range(0, len(pairs), _PAIR_BLOCK):
-        au = a[start : start + _PAIR_BLOCK, None] | a[None, start:]
-        bu = b[start : start + _PAIR_BLOCK, None] | b[None, start:]
+    for rows in row_blocks(len(pairs)):
+        au = a[rows, None] | a[None, rows.start :]
+        bu = b[rows, None] | b[None, rows.start :]
         hit = _first(~base[au, bu])
         if hit:
-            i, j = hit[0] + start, hit[1] + start
+            i, j = hit[0] + rows.start, hit[1] + rows.start
             return _witness(ctx, a[i], b[i], a[j], b[j])
     return None
 

@@ -27,7 +27,7 @@ from ..core import DecisionUniverse, TrivialUniverseError, UniverseMismatchError
 from ..rules import Rule
 from .space import PAIRWISE_BOUND, ProfileSpace, guard_size
 
-_BLOCK = 256  # rows per built block, and the side of the tiles a given matrix is transposed in
+_BLOCK = 256  # rows per block of row_blocks: it bounds every blocked pass
 
 
 class RelationSet:
@@ -42,9 +42,9 @@ class RelationSet:
 
     def __init__(self, weak: np.ndarray):
         code = np.empty(weak.shape, dtype=np.uint8)
-        for i in range(0, len(weak), _BLOCK):  # tiles, not one strided transpose
-            for j in range(0, len(weak), _BLOCK):
-                code[i : i + _BLOCK, j : j + _BLOCK] = weak[j : j + _BLOCK, i : i + _BLOCK].T
+        for i in row_blocks(len(weak)):  # square tiles, not one strided transpose
+            for j in row_blocks(len(weak)):
+                code[i, j] = weak[j, i].T
         code <<= 1
         code |= weak
         self.code = code
@@ -162,7 +162,7 @@ _TERMS = {
 }
 
 
-def _row_blocks(size: int):
+def row_blocks(size: int):
     return (slice(start, start + _BLOCK) for start in range(0, size, _BLOCK))
 
 
@@ -179,7 +179,7 @@ def _holds(terms, out: np.ndarray, *, swapped: bool = False) -> None:
 def weak_matrix(space: ProfileSpace, rule: Rule) -> np.ndarray:
     weak = np.empty((space.size, space.size), dtype=bool)
     terms = _TERMS[rule](space)
-    for rows in _row_blocks(space.size):
+    for rows in row_blocks(space.size):
         _holds(terms(rows), weak[rows])
     return weak
 
@@ -199,7 +199,7 @@ def pair_code(space: ProfileSpace, rule: Rule) -> np.ndarray:
     """
     code = np.empty((space.size, space.size), dtype=np.uint8)
     terms = _TERMS[rule](space)
-    for rows in _row_blocks(space.size):
+    for rows in row_blocks(space.size):
         _code_block(terms(rows), code[rows])
     return code
 

@@ -58,12 +58,8 @@ class ProfileSpace:
         self.n = len(args)
         self.size = 1 << self.n
         rank = np.array([universe.ranks[a.name] for a in args], dtype=np.int8)
-        is_pro = np.array(
-            [a.polarity is Polarity.PRO and not a.is_null for a in args], dtype=bool
-        )
-        is_con = np.array(
-            [a.polarity is Polarity.CON and not a.is_null for a in args], dtype=bool
-        )
+        is_pro = np.array([a.name in universe.pros for a in args], dtype=bool)
+        is_con = np.array([a.name in universe.cons for a in args], dtype=bool)
 
         bits = 1 << np.arange(self.n, dtype=np.int64)
         self.pos_mask = int(bits[is_pro].sum())

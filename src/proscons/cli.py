@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -530,10 +531,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error, or --help
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's flush at exit
+        return code
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except BrokenPipeError:  # the Python docs' advice: stdout to devnull, so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -109,14 +109,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
     def test_matrices_agree_with_scalar_rules(self, levels):
+        # Both builders: weak_matrix, and the pair code the audits read.
         for u in iter_universes(3, levels):
-            space = ProfileSpace(u)
+            space, ctx = ProfileSpace(u), AuditContext(u)
             profiles = enumerate_profiles(u)
             for rule in Rule:
-                weak = weak_matrix(space, rule)
+                weak, code = weak_matrix(space, rule), ctx.rel(rule).code
                 for i, a in enumerate(profiles):
                     for j, b in enumerate(profiles):
-                        assert bool(weak[i, j]) == compare(rule, a, b).first_weak
+                        outcome = compare(rule, a, b)
+                        assert bool(weak[i, j]) == outcome.first_weak
+                        assert code[i, j] & 1 == outcome.first_weak, (rule, u, i, j)
+                        assert code[i, j] >> 1 == outcome.mirror().first_weak, (rule, u, i, j)
 
     def test_twelve_argument_codes_agree_with_scalar_rules(self):
         # At 12 arguments a 256-row block spans four high-half values of the
@@ -684,6 +688,27 @@ class TestClosureKernels:
                     assert check_axiom(axiom, rule, u, context=ctx).witness == found
                     failures += found is not None
         assert failures == 726
+
+    @pytest.mark.parametrize("drop", [(32, 48), (48, 1)])
+    def test_combination_scan_names_the_first_violation_past_pair_512(self, drop):
+        # Every pair of nonempty profiles is a union-closed base; without the
+        # cell ``drop`` its first violating row lies past pair 512, several
+        # row blocks in, and that row's first partner lies after it.
+        u = make_universe(2, [(f"x{i}", "pro", 1) for i in range(6)])
+        ctx = AuditContext(u)
+        base = np.ones((64, 64), bool)
+        base[0] = base[:, 0] = False
+        base[drop] = False
+        pairs = np.argwhere(base)
+        for row, (a, b) in enumerate(pairs):  # the definition: rows, then partners, in order
+            bad = ~base[a | pairs[:, 0], b | pairs[:, 1]]
+            if bad.any():
+                break
+        c, d = pairs[bad.argmax()]
+        assert row > 512 and bad.argmax() > row
+        assert _combination_scan(ctx, base) == Witness(
+            tuple(ctx.space.members(int(m)) for m in (a, b, c, d))
+        )
 
     @staticmethod
     def _assert_union_kernel_exact(size):

@@ -822,9 +822,10 @@ class TestProcessBoundary:
     """Exit codes and streams as a shell sees them, from ``python -m proscons.cli``."""
 
     @staticmethod
-    def cli(*argv):
+    def cli(*argv, stdout=subprocess.PIPE):
         return subprocess.run(
-            [sys.executable, "-m", "proscons.cli", *argv], capture_output=True, text=True,
+            [sys.executable, "-m", "proscons.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
         )
 
@@ -844,6 +845,22 @@ class TestProcessBoundary:
     def test_data_error_exits_1_with_one_error_line(self):
         done = self.cli("compare", "luc", "a", "zz")
         assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: unknown option 'zz'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("rank", "luc", "--rule", "lexi"),
+        ("compare", "luc", "a", "b", "--rule", "lexi", "--quiet"),
+        ("audit", "luc", "--axiom", "ca", "--rule", "all", "--json"),
+    ])
+    def test_closed_stdout_exits_1_with_at_most_one_error_line(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        try:
+            done = self.cli(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) <= 1
 
 
 class TestRoundTrip:
